@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import (DepthTooLarge, LevelOutOfRange, MonotonicityViolation,
                      NonIntegerRadiusExponent)
-from .rounding import rigorous_ceil_div_ln2
+from .rounding import ceil_div, rigorous_ceil_div_ln2
 
 DEFAULT_BIT_BUDGET = 1 << 20
 
@@ -210,7 +210,7 @@ def build_explicit_chain(depth, log_convention="natural",
             c = rigorous_ceil_div_ln2(2 * product, e[-1], prec=prec)
         else:
             q = 2 * product / e[-1]
-            c = -((-q.numerator) // q.denominator)
+            c = ceil_div(q.numerator, q.denominator)
         target = c + 2
         floor_m = 4 if n == 1 else M[-1] + 1
         M.append(max(floor_m, target))

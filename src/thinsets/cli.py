@@ -21,7 +21,7 @@ from . import falconer as fal_mod
 from . import independent as ind_mod
 from .dyadic import SparseDyadic
 from .errors import (CapExceeded, ConditionFailure, ConfigError,
-                     RegimeViolation, ThinsetError)
+                     ExponentTooLarge, RegimeViolation, ThinsetError)
 
 SCHEMA = "thinset-report/1"
 
@@ -172,7 +172,7 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     try:
         code, body = _COMMANDS[command](config_doc, opts)
     except (ConfigError, RegimeViolation, ConditionFailure, CapExceeded,
-            KeyError, ValueError, TypeError) as ex:
+            ExponentTooLarge, KeyError, ValueError, TypeError) as ex:
         code, body = 2, {"error": f"{type(ex).__name__}: {ex}"}
     except ThinsetError as ex:
         code, body = 1, {"error": f"{type(ex).__name__}: {ex}"}
@@ -187,9 +187,9 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     report.update(body)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.replace('-', '_')}_report.json")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     csv_text = body.get("csv")
     if csv_text:
         with open(os.path.join(out_dir, f"{command}_table.csv"), "w") as fh:

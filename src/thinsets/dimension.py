@@ -1,8 +1,9 @@
 """Covering and packing counters with logarithmic-gauge diagnostics.
 
-Counts are exact; every transcendental quantity (ln 2, rational powers)
-is produced as a certified bracket, and inequality verdicts are made
-only when a bracket separates the two sides.
+Counts are exact, on any exact ordered numbers: Fractions at the API,
+integers in units of 2**-U inside dimension_report.  Every transcendental
+quantity (ln 2, rational powers) is a certified bracket, and inequality
+verdicts are made only when a bracket separates the two sides.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LevelOutOfRange
+from .errors import LevelOutOfRange, check_exponent
 from .falconer import enumerate_window
 from .rounding import (DEFAULT_PREC, MAX_PREC, bracket_to_decimal,
-                       compare_with_bracket, ln2_bracket, ln_bracket,
-                       pow_bracket)
-
-_EXPONENT_LIMIT = 1 << 16
+                       ceil_div, compare_with_bracket, ln2_bracket,
+                       ln_bracket, pow_bracket)
 
 
 @dataclass(frozen=True)
@@ -42,16 +41,25 @@ class GaugeParams:
             raise ValueError("constant C must be positive")
 
 
-def intervals_from_lattice(chain, lattice_intervals):
-    """Rational (lo, hi) pairs for LatticeInterval records."""
-    return [j.bounds(chain) for j in lattice_intervals]
+def intervals_from_lattice(chain, lattice_intervals, unit_exponent=None):
+    """(lo, hi) pairs for LatticeInterval records: Fractions, or integers
+    in units of 2**-unit_exponent (see LatticeInterval.bounds)."""
+    return [j.bounds(chain, unit_exponent) for j in lattice_intervals]
+
+
+def _pow2(k):
+    """Exact 2**k: an int for k >= 0, else a Fraction."""
+    check_exponent(k)
+    return 1 << k if k >= 0 else Fraction(1, 1 << -k)
 
 
 def _merge(intervals):
-    """Sorted disjoint closed components of the union."""
-    items = sorted((Fraction(a), Fraction(b)) for a, b in intervals)
+    """Sorted disjoint closed components of the union of exact intervals."""
     out = []
-    for a, b in items:
+    for a, b in sorted((a, b) for a, b in intervals):
+        if not (isinstance(a, (int, Fraction))
+                and isinstance(b, (int, Fraction))):
+            raise TypeError("interval endpoints must be ints or Fractions")
         if a > b:
             raise ValueError("interval with lo > hi")
         if out and a <= out[-1][1]:
@@ -63,8 +71,9 @@ def _merge(intervals):
 
 def covering_number(intervals, delta_exponent):
     """Minimal number of closed length-2**-d intervals covering the
-    union.  Left-to-right greedy placement, optimal in one dimension."""
-    delta = Fraction(2) ** -delta_exponent
+    union of (lo, hi) pairs of ints or Fractions.  Left-to-right greedy
+    placement, optimal in one dimension."""
+    delta = _pow2(-delta_exponent)
     count = 0
     covered = None  # rightmost covered point so far
     for a, b in _merge(intervals):
@@ -73,28 +82,21 @@ def covering_number(intervals, delta_exponent):
                             and covered >= b):
             continue
         # greedy tiling from the frontier, counted in closed form
-        k = max(1, _ceil_div_frac(b - frontier, delta))
+        k = max(1, ceil_div(b - frontier, delta))
         count += k
         covered = frontier + k * delta
     return count
 
 
-def _ceil_div_frac(x, y):
-    num = x.numerator * y.denominator
-    den = x.denominator * y.numerator
-    return -((-num) // den)
-
-
 def packing_number(intervals, delta_exponent):
     """Maximal number of disjoint closed radius-2**-d balls with
-    centers in the union.
+    centers in the union of (lo, hi) pairs of ints or Fractions.
 
     Disjointness of closed balls needs strictly more than 2 * 2**-d
     between centers; the greedy frontier carries a symbolic +k*eps
     offset so the strict constraint is honored exactly.
     """
-    delta = Fraction(2) ** -delta_exponent
-    step = 2 * delta
+    step = 2 * _pow2(-delta_exponent)
     count = 0
     nx, nk = None, 0  # minimal admissible next center: nx + nk*eps
     for a, b in _merge(intervals):
@@ -104,9 +106,9 @@ def packing_number(intervals, delta_exponent):
             cx, ck = nx, nk
         # centers cx + j*step (+ symbolic offsets) while inside [a, b]:
         # valid iff cx + j*step < b, or == b with no pending offset
-        q = (b - cx) / step
-        m = max(0, _ceil_div_frac(b - cx, step))  # j with j*step < b-cx
-        if q.denominator == 1 and q >= 0 and ck + q <= 0:
+        diff = b - cx
+        m = max(0, ceil_div(diff, step))  # j with j*step < b-cx
+        if diff >= 0 and diff % step == 0 and ck + diff // step <= 0:
             m += 1
         if m > 0:
             count += m
@@ -136,10 +138,7 @@ def _product_lhs(chain, n):
     """prod_{j=1}^{n-1} (1 + 2**(e_{j+1} - rho_j)) as an exact Fraction."""
     lhs = Fraction(1)
     for j in range(1, n):
-        k = chain.e[j] - chain.rho[j - 1]
-        if abs(k) > _EXPONENT_LIMIT:
-            raise OverflowError(f"product factor 2**{k} too large")
-        lhs *= 1 + Fraction(2) ** k
+        lhs *= 1 + _pow2(chain.e[j] - chain.rho[j - 1])
     return lhs
 
 
@@ -228,7 +227,6 @@ def box_estimate(count, delta_exponent, prec=DEFAULT_PREC,
         den_hi = ln_bracket(d * l2hi, prec)[1]
     else:
         den_lo, den_hi = ln_bracket(d, prec)
-        num_lo, num_hi = num_lo, num_hi  # same log base cancels in the ratio
     if den_lo <= 0:
         raise ValueError("denominator log must be positive (d too small)")
     lo, hi = num_lo / den_hi, num_hi / den_lo
@@ -250,13 +248,15 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
     c1_lo, c1_hi = Fraction(0), Fraction(0)
     for n in n_range:
         if hasattr(source, "rho"):
-            # delta = 4 * r_n, clamped to the finest gauge-admissible mesh
+            # delta = 4 * r_n, clamped to the finest gauge-admissible mesh;
+            # bounds are ints in units of 2**-u, so delta is 2**-(d-u) units
             d = max(source.rho[n - 1] - 2, 2)
+            u = max(source.rho[n - 1], d)
             ivs = intervals_from_lattice(
                 source, enumerate_window(source, n, (Fraction(0),
-                                                     Fraction(1)), cap))
-            cov = covering_number(ivs, d)
-            pack = packing_number(ivs, d)
+                                                     Fraction(1)), cap), u)
+            cov = covering_number(ivs, d - u)
+            pack = packing_number(ivs, d - u)
             try:
                 pv = product_bound(source, n, params, "packing2", prec)
                 verdict = pv["holds"]

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonconformingHead, OutOfUnitInterval, TermCapExceeded
+from .errors import (InvariantViolation, NonconformingHead, OutOfUnitInterval,
+                     TermCapExceeded, check_exponent)
 
 DEFAULT_TERM_CAP = 4096
-
-# Exponent size (in bits of the shift) beyond which to_fraction refuses
-# to expand.  Protects against accidentally materializing 2**(2**40).
-_EXPAND_LIMIT = 1 << 16
 
 
 class SparseDyadic:
@@ -89,10 +86,7 @@ class SparseDyadic:
         """Exact Fraction value.  Refuses tower-scale exponents."""
         total = Fraction(0)
         for f, c in self._terms:
-            if f > _EXPAND_LIMIT:
-                raise OverflowError(
-                    f"exponent {f} too large to expand to a Fraction")
-            total += Fraction(c, 1 << f)
+            total += Fraction(c, 1 << check_exponent(f))
         return total
 
     # --- arithmetic ---
@@ -139,7 +133,7 @@ class SparseDyadic:
         remaining |coefficient| and f2 the next exponent, so whenever
         |c1| * 2**(f2-f1) > 2R the sign is sign(c1).  Otherwise c1 is
         folded into scale f2 and the scan continues.  The folded
-        coefficient stays below 3 * n * max|c|, asserted below.
+        coefficient stays below 3 * n * max|c|, checked below.
         """
         if not self._terms:
             return 0
@@ -159,7 +153,8 @@ class SparseDyadic:
             if gap >= (2 * r_max).bit_length() or (abs(c1) << gap) > 2 * r_max:
                 return 1 if c1 > 0 else -1
             merged = (c1 << gap) + c2
-            assert abs(merged) <= bound, "sign() coefficient growth bound"
+            if abs(merged) > bound:
+                raise InvariantViolation("sign() coefficient growth bound")
             if merged:
                 terms = [(f2, merged)] + rest[1:]
             else:

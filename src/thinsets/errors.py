@@ -1,8 +1,31 @@
-"""Exception hierarchy shared by all thinsets modules."""
+"""Exception hierarchy shared by all thinsets modules, and the one guard
+against materializing tower-scale powers of two."""
+
+# Largest |k| for which 2**k may be built as an integer or Fraction.
+EXPONENT_LIMIT = 1 << 16
 
 
 class ThinsetError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed; indicates a bug, not bad input.
+    Deliberately not a ThinsetError, so the CLI lets it crash instead of
+    reporting it as a failed verification."""
+
+
+class ExponentTooLarge(ThinsetError, OverflowError):
+    """A power of two is too large to materialize."""
+
+
+def check_exponent(k):
+    """Return k if 2**k may be materialized, else raise ExponentTooLarge.
+    Call it before every shift whose size comes from a chain exponent."""
+    if abs(k) > EXPONENT_LIMIT:
+        raise ExponentTooLarge(f"cannot materialize 2**{k}: |exponent| "
+                               f"exceeds the limit {EXPONENT_LIMIT}")
+    return k
 
 
 # --- scale chains ---

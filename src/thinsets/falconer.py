@@ -2,30 +2,24 @@
 
 The depth-n realization F_n is the set of points within r_j of the
 level-j lattice for every j <= n.  Everything here is exact: membership
-uses sparse dyadic distances, window enumeration tracks feasible
-regions as rational intervals, and all inequality checks reduce to
-integer exponent comparisons.
+uses sparse dyadic distances, window enumeration keeps every endpoint
+(a window endpoint or m * 2**-e_j +- 2**-rho_j) as an integer in units
+of the finest scale, and all inequality checks reduce to integer
+exponent comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .chain import classify_regime
 from .dyadic import SparseDyadic
 from .errors import (CapExceeded, ChainTooShallow, ConditionFailure,
-                     LevelOutOfRange, OutOfUnitInterval, PreconditionFailure,
-                     RegimeViolation)
-
-_SHIFT_LIMIT = 1 << 16
-
-
-def _pow2_frac(k):
-    """Fraction 2**k with a guard against tower-scale exponents."""
-    if abs(k) > _SHIFT_LIMIT:
-        raise OverflowError(f"2**{k} too large to materialize")
-    return Fraction(2) ** k
+                     InvariantViolation, LevelOutOfRange, OutOfUnitInterval,
+                     PreconditionFailure, RegimeViolation, check_exponent)
+from .rounding import ceil_div
 
 
 @dataclass(frozen=True)
@@ -39,12 +33,20 @@ class LatticeInterval:
 
     def center(self, chain):
         return Fraction(self.center_numerator,
-                        1 << chain.e[self.level - 1])
+                        1 << check_exponent(chain.e[self.level - 1]))
 
-    def bounds(self, chain):
-        c = self.center(chain)
-        r = _pow2_frac(-self.radius_exponent)
-        return max(Fraction(0), c - r), min(Fraction(1), c + r)
+    def bounds(self, chain, unit_exponent=None):
+        """Clipped endpoints as Fractions, or as integers in units of
+        2**-unit_exponent (at least e_level and the radius exponent)."""
+        e = chain.e[self.level - 1]
+        u = check_exponent(max(e, self.radius_exponent)
+                           if unit_exponent is None else unit_exponent)
+        c = self.center_numerator << (u - e)
+        r = 1 << (u - self.radius_exponent)
+        lo, hi = max(0, c - r), min(1 << u, c + r)
+        if unit_exponent is None:
+            return Fraction(lo, 1 << u), Fraction(hi, 1 << u)
+        return lo, hi
 
     def to_json(self):
         return {"level": self.level,
@@ -146,7 +148,9 @@ def rapid_sequence(chain, i):
         if n >= i:
             trace.append({"level": n, "exact_lattice_point": True})
         else:
-            assert ei > chain.rho[n - 1], "branching guard must imply this"
+            if not ei > chain.rho[n - 1]:
+                raise InvariantViolation("branching guard must imply "
+                                         f"e_{i} > rho_{n}")
             trace.append({"level": n, "exact_lattice_point": False,
                           "gap_exponent": str(ei - chain.rho[n - 1])})
     return SparseDyadic.power(ei), trace
@@ -182,7 +186,8 @@ def select_triple_indices(chain, k_max):
     elements = tuple(SparseDyadic.power(chain.e[n - 1]) for n in indices)
     family = TripleSumFamily(tuple(indices), elements)
     violation = family.check_invariants(chain)
-    assert violation is None, violation
+    if violation is not None:
+        raise InvariantViolation(f"greedy selection broke: {violation}")
     return family
 
 
@@ -274,7 +279,8 @@ def binary_tree_point(chain, bits, start_hint=None):
             raise ConditionFailure(
                 f"child interval escapes its parent at level {n}",
                 level=n, condition="containment")
-        assert chain.rho[n] > ej1, "sibling disjointness"
+        if not chain.rho[n] > ej1:
+            raise InvariantViolation(f"sibling disjointness at level {n}")
         if bit == "1":
             x = x.add(SparseDyadic.power(ej1))
         intervals.append(_interval_at(chain, n + 1, x))
@@ -286,10 +292,7 @@ def _interval_at(chain, level, x):
     num = 0
     e_level = chain.e[level - 1]
     for f, c in x.terms:
-        shift = e_level - f
-        if shift < 0 or shift > _SHIFT_LIMIT:
-            raise OverflowError("tree numerator too large to materialize")
-        num += c << shift
+        num += c << check_exponent(e_level - f)
     return LatticeInterval(level=level, center_numerator=num,
                            radius_exponent=chain.rho[level - 1])
 
@@ -303,9 +306,10 @@ def _as_fraction(value):
 def _refine(chain, n, window, cap):
     """Exact survivors of the depth-n realization meeting the window.
 
-    Returns {center: [(a, b), ...]} mapping each surviving level-n
-    lattice center to the disjoint feasible sub-intervals witnessing a
-    point that satisfies every ancestor constraint.
+    Returns (nodes, den): nodes maps the numerator m of each surviving
+    level-n lattice center m * 2**-e_n to the disjoint feasible
+    sub-intervals witnessing a point that satisfies every ancestor
+    constraint, as integer pairs in units of 1/den.
 
     The cap bounds distinct centers per level; candidate enumeration
     work is bounded by 8 * cap so a branching blow-up raises
@@ -316,46 +320,47 @@ def _refine(chain, n, window, cap):
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if not 0 <= lo < hi <= 1:
         raise ValueError("window must satisfy 0 <= lo < hi <= 1")
-    pieces = [(lo, hi)]
-    nodes = {Fraction(0): pieces}  # virtual level-0 root over the window
+    den = lcm(lo.denominator, hi.denominator)
+    u = (den & -den).bit_length() - 1  # units are 1/(w * 2**u), w odd
+    w = den >> u
+    nodes = {0: [(lo.numerator * (den // lo.denominator),
+                  hi.numerator * (den // hi.denominator))]}  # virtual root
     for j in range(1, n + 1):
-        ej = chain.e[j - 1]
-        r = _pow2_frac(-chain.rho[j - 1])
-        scale = 1 << ej
-        top = scale
+        ej, rho = chain.e[j - 1], chain.rho[j - 1]
+        uj = max(u, check_exponent(max(ej, rho)))
+        shift, u = uj - u, uj
+        step = w << (u - ej)  # lattice spacing 2**-e_j
+        r = w << (u - rho)    # radius 2**-rho_j
+        top = 1 << ej
         new_nodes = {}
         budget = 8 * cap
         for feas in nodes.values():
             for a, b in feas:
-                m_lo = max(0, _ceil_frac((a - r) * scale))
-                m_hi = min(top, _floor_frac((b + r) * scale))
+                a, b = a << shift, b << shift
+                m_lo = max(0, ceil_div(a - r, step))
+                m_hi = min(top, (b + r) // step)
                 budget -= max(0, m_hi - m_lo + 1)
                 if budget < 0:
                     raise CapExceeded(
                         f"candidate enumeration at level {j} exceeds "
                         f"work budget 8*{cap}", level=j)
+                # a <= h + r and h - r <= b for each m: no piece is empty
                 for m in range(m_lo, m_hi + 1):
-                    h = Fraction(m, scale)
-                    na, nb = max(a, h - r), min(b, h + r)
-                    if na > nb:
-                        continue
-                    _add_piece(new_nodes.setdefault(h, []), (na, nb))
+                    h = m * step
+                    piece = (max(a, h - r), min(b, h + r))
+                    pieces = new_nodes.get(m)
+                    if pieces is None:
+                        new_nodes[m] = [piece]
+                    else:
+                        _add_piece(pieces, piece)
         if len(new_nodes) > cap:
             raise CapExceeded(
                 f"{len(new_nodes)} intervals at level {j} exceeds cap {cap}",
                 level=j)
         if not new_nodes:
-            return {}
+            return {}, w << u
         nodes = new_nodes
-    return nodes
-
-
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator
+    return nodes, w << u
 
 
 def _add_piece(pieces, new):
@@ -375,15 +380,10 @@ def _add_piece(pieces, new):
 def enumerate_window(chain, n, window, cap):
     """Surviving level-n intervals meeting the window, as LatticeInterval
     records ordered by center."""
-    nodes = _refine(chain, n, window, cap)
-    scale = 1 << chain.e[n - 1]
+    nodes, _ = _refine(chain, n, window, cap)
     rho = chain.rho[n - 1]
-    out = []
-    for h in sorted(nodes):
-        out.append(LatticeInterval(level=n,
-                                   center_numerator=int(h * scale),
-                                   radius_exponent=rho))
-    return out
+    return [LatticeInterval(level=n, center_numerator=m, radius_exponent=rho)
+            for m in sorted(nodes)]
 
 
 def localization_check(chain, i, g_numerator, n, cap=100000):
@@ -401,21 +401,19 @@ def localization_check(chain, i, g_numerator, n, cap=100000):
             f"level {i} too coarse: rho_i = {rho} < e_i + 3 = {ei + 3}")
     if not i <= n <= chain.levels:
         raise LevelOutOfRange(f"need i <= n <= {chain.levels}")
-    g = Fraction(g_numerator, 1 << ei)
-    half = _pow2_frac(-(ei + 1))
+    g = Fraction(g_numerator, 1 << check_exponent(ei))
+    half = Fraction(1, 2 << ei)
     lo, hi = max(Fraction(0), g - half), min(Fraction(1), g + half)
-    nodes = _refine(chain, n, (lo, hi), cap)
-    r_i = _pow2_frac(-rho)
-    ok = True
-    max_dist = Fraction(0)
+    nodes, den = _refine(chain, n, (lo, hi), cap)
+    # den = w * 2**U with U >= rho_n > e_i once any level-n node survives
+    g_units = g_numerator * (den >> ei)
+    max_dist = 0
     for feas in nodes.values():
         for a, b in feas:
-            d = max(abs(a - g), abs(b - g))
-            max_dist = max(max_dist, d)
-            if d > r_i:
-                ok = False
-    return {"ok": ok, "level": i, "depth": n,
-            "max_distance": f"{max_dist.numerator}/{max_dist.denominator}",
+            max_dist = max(max_dist, abs(a - g_units), abs(b - g_units))
+    dist = Fraction(max_dist, den)
+    return {"ok": max_dist <= den >> rho, "level": i, "depth": n,
+            "max_distance": f"{dist.numerator}/{dist.denominator}",
             "radius": f"1/{2 ** rho}" if rho <= 64 else f"2^-{rho}",
             "survivor_count": len(nodes)}
 
@@ -436,7 +434,7 @@ def dichotomy_probe(chain, n, window, cap):
         raise RegimeViolation("probe requires a collapse-regime chain")
     counts = []
     for j in range(1, n + 1):
-        counts.append(len(_refine(chain, j, window, cap)))
+        counts.append(len(_refine(chain, j, window, cap)[0]))
     stable_from = None
     for i in range(1, chain.levels + 1):
         if i < chain.depth and chain.rho[i - 1] > chain.e[i]:

@@ -18,6 +18,11 @@ DEFAULT_PREC = 128
 MAX_PREC = 1 << 14
 
 
+def ceil_div(x, y):
+    """Exact ceil(x / y) for ints or Fractions, y > 0."""
+    return -(-x // y)
+
+
 def _raw_to_fraction(raw):
     sign, man, exp, _ = raw
     f = Fraction(int(man)) * Fraction(2) ** exp
@@ -88,7 +93,7 @@ def pow_bracket(base_lo, base_hi, exponent, prec=DEFAULT_PREC):
 
     def root_hi(y):
         num = y.numerator << (q * prec)
-        scaled = -((-num) // y.denominator)  # ceil
+        scaled = ceil_div(num, y.denominator)
         r = _iroot_floor(scaled, q)
         if r ** q < scaled:
             r += 1
@@ -110,8 +115,8 @@ def rigorous_ceil_div_ln2(numerator, scale, prec=DEFAULT_PREC,
         lo2, hi2 = ln2_bracket(prec)
         q_lo = numerator / (scale * hi2)
         q_hi = numerator / (scale * lo2)
-        c_lo = -((-q_lo.numerator) // q_lo.denominator)
-        c_hi = -((-q_hi.numerator) // q_hi.denominator)
+        c_lo = ceil_div(q_lo.numerator, q_lo.denominator)
+        c_hi = ceil_div(q_hi.numerator, q_hi.denominator)
         if c_lo == c_hi:
             return c_lo
         prec *= 2
@@ -146,5 +151,5 @@ def bracket_to_decimal(lo, hi, digits=12):
         q += 1
     text = str(q).rjust(digits + 1, "0")
     mid_s = f"{'-' if mid < 0 else ''}{text[:-digits]}.{text[-digits:]}"
-    err_num = -((-err.numerator * scale) // err.denominator)  # ceil
+    err_num = ceil_div(err.numerator * scale, err.denominator)
     return mid_s, f"{err_num}e-{digits}"

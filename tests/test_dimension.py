@@ -106,6 +106,12 @@ class TestCovering:
     def test_desk_f2(self):
         assert covering_number(desk_intervals(2), 4) == 9
 
+    def test_inexact_endpoints_refused(self):
+        with pytest.raises(TypeError):
+            covering_number([(0.0, 0.5)], 3)
+        with pytest.raises(TypeError):
+            packing_number([(Fraction(0), "1/2")], 3)
+
     def test_matches_duality_oracle(self):
         rng = random.Random(41)
         checked = 0

@@ -8,8 +8,10 @@ import pytest
 from thinsets.chain import build_custom_chain
 from thinsets.dyadic import SparseDyadic
 from thinsets.errors import (CapExceeded, ChainTooShallow, ConditionFailure,
+                             ExponentTooLarge, InvariantViolation,
                              LevelOutOfRange, OutOfUnitInterval,
-                             PreconditionFailure, RegimeViolation)
+                             PreconditionFailure, RegimeViolation,
+                             ThinsetError)
 from thinsets.falconer import (binary_tree_point, dichotomy_probe,
                                enumerate_window, localization_check,
                                localization_ratio_exponents, member_depth,
@@ -127,6 +129,14 @@ class TestTripleSum:
         with pytest.raises(RegimeViolation):
             select_triple_indices(COLLAPSE, 2)
 
+    def test_broken_invariant_raises(self, monkeypatch):
+        # a raise, not an assert, so the check survives python -O
+        from thinsets.falconer import TripleSumFamily
+        monkeypatch.setattr(TripleSumFamily, "check_invariants",
+                            lambda self, chain: "forced violation")
+        with pytest.raises(InvariantViolation):
+            select_triple_indices(DESK, 3)
+
     def test_invariant_detects_bad_family(self):
         from thinsets.falconer import TripleSumFamily
         bad = TripleSumFamily((1, 2), (SparseDyadic.power(1),
@@ -220,6 +230,15 @@ class TestLocalization:
         # level 1 has rho_1 = 1 < e_1 + 3
         with pytest.raises(PreconditionFailure):
             localization_check(DESK, 1, 0, 2)
+
+    def test_tower_scale_level_is_refused(self):
+        # e_3 = 1.2e12: the guard must fire before 2**e_3 is built
+        chain = build_custom_chain([3, 4 * 10 ** 11, 4 * 10 ** 11 + 1],
+                                   [1, 2, 3], 4)
+        with pytest.raises(ExponentTooLarge) as ex:
+            localization_check(chain, 3, 1, 3)
+        assert isinstance(ex.value, ThinsetError)
+        assert isinstance(ex.value, OverflowError)
 
     def test_ratio_exponents_strictly_decreasing(self):
         exps = localization_ratio_exponents(DESK)
