@@ -18,6 +18,9 @@ from .rounding import ceil_div, rigorous_ceil_div_ln2
 DEFAULT_BIT_BUDGET = 1 << 20
 
 # Shifts up to this many bits may be materialized as plain integers.
+# Tighter than errors.EXPONENT_LIMIT (2**16 bits) because ExactCount.__str__
+# renders as_int() in decimal, and Python refuses int-to-str conversion
+# above 4300 digits, about 2**14284.
 _MATERIALIZE_LIMIT = 4096
 
 
@@ -245,11 +248,9 @@ def branching_count(chain, i, g_numerator):
     Interior windows come back in exponent form 2 * 2**(e_{i+1}-rho_i) + 1;
     windows clipped at 0 or 1 are counted exactly.
     """
-    if not 1 <= i <= chain.levels:
-        raise LevelOutOfRange(f"level {i} outside 1..{chain.levels}")
+    rho = chain.radius_exponent(i)
     ei = chain.e[i - 1]
     ej = chain.e[i]
-    rho = chain.rho[i - 1]
     if g_numerator < 0 or not le_pow2(g_numerator, ei):
         raise ValueError(f"lattice numerator {g_numerator} outside [0, 2^e_i]")
     k = ej - rho  # log2 of r_i * q_{i+1}
@@ -279,6 +280,4 @@ def branching_lower_bound(chain, i):
 
     The exponent e_i*(M_i - phi_i) equals e_{i+1} - rho_i exactly.
     """
-    if not 1 <= i <= chain.levels:
-        raise LevelOutOfRange(f"level {i} outside 1..{chain.levels}")
-    return ExactCount(2, chain.e[i] - chain.rho[i - 1], -1)
+    return ExactCount(2, chain.e[i] - chain.radius_exponent(i), -1)

@@ -21,13 +21,20 @@ from . import falconer as fal_mod
 from . import independent as ind_mod
 from .dyadic import SparseDyadic
 from .errors import (CapExceeded, ConditionFailure, ConfigError,
-                     ExponentTooLarge, RegimeViolation, ThinsetError)
+                     ExponentTooLarge, LevelOutOfRange, OutOfUnitInterval,
+                     RegimeViolation, ThinsetError)
 
 SCHEMA = "thinset-report/1"
 
 
+def _object(doc, what):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
 def _load_chain(doc, log_convention, prec):
-    kind = doc.get("kind", "falconer")
+    kind = _object(doc, "chain config").get("kind", "falconer")
     try:
         if kind == "explicit":
             return chain_mod.build_explicit_chain(
@@ -170,9 +177,10 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     raw = json.dumps(config_doc, sort_keys=True).encode()
     opts = {"prec": prec, "cap": cap, "log_convention": log_convention}
     try:
-        code, body = _COMMANDS[command](config_doc, opts)
+        code, body = _COMMANDS[command](_object(config_doc, "config"), opts)
     except (ConfigError, RegimeViolation, ConditionFailure, CapExceeded,
-            ExponentTooLarge, KeyError, ValueError, TypeError) as ex:
+            ExponentTooLarge, LevelOutOfRange, OutOfUnitInterval, KeyError,
+            ValueError, TypeError) as ex:
         code, body = 2, {"error": f"{type(ex).__name__}: {ex}"}
     except ThinsetError as ex:
         code, body = 1, {"error": f"{type(ex).__name__}: {ex}"}

@@ -203,14 +203,11 @@ def member_K(spec, x):
     return {"member": True, "digits": sorted(indices)}
 
 
-def subset_sums(spec, class_index, index_cap, count_cap=None):
+def subset_sums(spec, class_index, index_cap):
     """All digit-subset sums over one partition class, in bitmask order."""
     indices = spec.class_indices(class_index, index_cap)
-    total = 1 << len(indices)
-    if count_cap is None:
-        count_cap = total
     out = []
-    for mask in range(min(total, count_cap)):
+    for mask in range(1 << len(indices)):
         terms = [(spec.g_exponent(indices[j]), 1)
                  for j in range(len(indices)) if mask >> j & 1]
         out.append(SparseDyadic(terms))

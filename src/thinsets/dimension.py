@@ -3,7 +3,9 @@
 Counts are exact, on any exact ordered numbers: Fractions at the API,
 integers in units of 2**-U inside dimension_report.  Every transcendental
 quantity (ln 2, rational powers) is a certified bracket, and inequality
-verdicts are made only when a bracket separates the two sides.
+verdicts are made only when a bracket separates the two sides.  The
+bracket of log q = log 2**d is built only in _log_q_bracket, under the
+chain's log convention, and that of (phi * log q)**alpha only in _rhs_core.
 """
 
 from __future__ import annotations
@@ -142,6 +144,22 @@ def _product_lhs(chain, n):
     return lhs
 
 
+def _log_q_bracket(d, convention, prec):
+    """Certified bracket of log 2**d: d * ln 2 under the natural
+    convention, exactly d under base2."""
+    if convention == "natural":
+        lo, hi = ln2_bracket(prec)
+        return d * lo, d * hi
+    return Fraction(d), Fraction(d)
+
+
+def _rhs_core(chain, idx, alpha, prec):
+    """Certified bracket of (phi_idx * log q_idx)**alpha."""
+    lo, hi = _log_q_bracket(chain.e[idx - 1], chain.log_convention, prec)
+    phi = chain.phi[idx - 1]
+    return pow_bracket(phi * lo, phi * hi, alpha, prec)
+
+
 def product_bound(chain, n, params, exponent_mode,
                   prec=DEFAULT_PREC, max_prec=MAX_PREC):
     """Compare the cover-product against C * (phi * log q)**alpha.
@@ -163,15 +181,9 @@ def product_bound(chain, n, params, exponent_mode,
     if alpha <= 0:
         raise ValueError("epsilon leaves a non-positive exponent")
     lhs = _product_lhs(chain, n)
-    core = chain.phi[idx - 1] * chain.e[idx - 1]
 
     def rhs_fn(p):
-        if chain.log_convention == "natural":
-            l2lo, l2hi = ln2_bracket(p)
-            base_lo, base_hi = core * l2lo, core * l2hi
-        else:
-            base_lo = base_hi = Fraction(core)
-        lo, hi = pow_bracket(base_lo, base_hi, alpha, p)
+        lo, hi = _rhs_core(chain, idx, alpha, p)
         return params.C * lo, params.C * hi
 
     verdict, (rlo, rhi) = compare_with_bracket(lhs, rhs_fn, prec, max_prec)
@@ -197,12 +209,7 @@ def hs_cover_cost(count, diam_exponent, s, prec=DEFAULT_PREC,
         raise ValueError("count must be non-negative")
     if s <= 0:
         raise ValueError("s must be positive")
-    if convention == "natural":
-        l2lo, l2hi = ln2_bracket(prec)
-        base_lo, base_hi = d * l2lo, d * l2hi
-    else:
-        base_lo = base_hi = Fraction(d)
-    lo, hi = pow_bracket(base_lo, base_hi, -s, prec)
+    lo, hi = pow_bracket(*_log_q_bracket(d, convention, prec), -s, prec)
     lo, hi = count * lo, count * hi
     mid, err = bracket_to_decimal(lo, hi)
     return {"lo": lo, "hi": hi, "decimal": mid, "err": err}
@@ -221,12 +228,9 @@ def box_estimate(count, delta_exponent, prec=DEFAULT_PREC,
         z = Fraction(0)
         return {"lo": z, "hi": z, "decimal": "0", "err": "0"}
     num_lo, num_hi = ln_bracket(count, prec)
-    if convention == "natural":
-        l2lo, l2hi = ln2_bracket(prec)
-        den_lo = ln_bracket(d * l2lo, prec)[0]
-        den_hi = ln_bracket(d * l2hi, prec)[1]
-    else:
-        den_lo, den_hi = ln_bracket(d, prec)
+    log_lo, log_hi = _log_q_bracket(d, convention, prec)
+    den_lo = ln_bracket(log_lo, prec)[0]
+    den_hi = ln_bracket(log_hi, prec)[1]
     if den_lo <= 0:
         raise ValueError("denominator log must be positive (d too small)")
     lo, hi = num_lo / den_hi, num_hi / den_lo
@@ -240,12 +244,15 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
 
     Chain rows enumerate the full-window realization at each depth with
     delta = 4 r_n; digit rows use the closed-form count 2**n with the
-    level separation scale.  Returns a list of row dicts plus fitted_C1,
-    the smallest observed constant for the packing-mode product bound.
+    level separation scale.  Chain rows take logarithms under the chain's
+    log convention, digit rows under the natural one.  Returns a list of
+    row dicts plus fitted_C1, the smallest observed constant for the
+    packing-mode product bound.
     """
     params = params or GaugeParams(Fraction(1), Fraction(1), Fraction(1, 2))
     rows = []
     c1_lo, c1_hi = Fraction(0), Fraction(0)
+    convention = getattr(source, "log_convention", "natural")
     for n in n_range:
         if hasattr(source, "rho"):
             # delta = 4 * r_n, clamped to the finest gauge-admissible mesh;
@@ -261,18 +268,8 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
                 pv = product_bound(source, n, params, "packing2", prec)
                 verdict = pv["holds"]
                 lhs = Fraction(pv["lhs"])
-                core = source.phi[n - 2] * source.e[n - 2]
-
-                def rhs_core(p, core=core, alpha=2 - params.epsilon,
-                             conv=source.log_convention):
-                    if conv == "natural":
-                        a, b = ln2_bracket(p)
-                        a, b = core * a, core * b
-                    else:
-                        a = b = Fraction(core)
-                    return pow_bracket(a, b, alpha, p)
-
-                rc_lo, rc_hi = rhs_core(prec)
+                rc_lo, rc_hi = _rhs_core(source, pv["index"],
+                                         2 - params.epsilon, prec)
                 c1_lo = max(c1_lo, lhs / rc_hi)
                 c1_hi = max(c1_hi, lhs / rc_lo)
             except LevelOutOfRange:
@@ -283,11 +280,11 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
             verdict = None
         row = {"n": n, "delta_exponent": d, "covering": cov,
                "packing": pack, "product_verdict": verdict}
-        be = box_estimate(cov, d, prec)
+        be = box_estimate(cov, d, prec, convention)
         row["box_estimate"] = be["decimal"]
         row["box_err"] = be["err"]
         for s in s_grid:
-            cost = hs_cover_cost(cov, d, s, prec)
+            cost = hs_cover_cost(cov, d, s, prec, convention)
             row[f"hs_cost(s={s})"] = cost["decimal"]
         rows.append(row)
     fitted = None

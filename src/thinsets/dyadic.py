@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (InvariantViolation, NonconformingHead, OutOfUnitInterval,
-                     TermCapExceeded, check_exponent)
+from .errors import (InvariantViolation, OutOfUnitInterval, TermCapExceeded,
+                     check_exponent)
+from .rounding import round_decimal
 
 DEFAULT_TERM_CAP = 4096
 
@@ -91,9 +92,8 @@ class SparseDyadic:
 
     # --- arithmetic ---
 
-    def add(self, other, term_cap=DEFAULT_TERM_CAP):
-        return SparseDyadic(list(self._terms) + list(other._terms),
-                            term_cap=term_cap)
+    def add(self, other):
+        return SparseDyadic(list(self._terms) + list(other._terms))
 
     def __add__(self, other):
         return self.add(other)
@@ -106,8 +106,8 @@ class SparseDyadic:
     def __neg__(self):
         return self.neg()
 
-    def sub(self, other, term_cap=DEFAULT_TERM_CAP):
-        return self.add(other.neg(), term_cap=term_cap)
+    def sub(self, other):
+        return self.add(other.neg())
 
     def __sub__(self, other):
         return self.sub(other)
@@ -200,14 +200,8 @@ class SparseDyadic:
             raise ValueError("lattice exponent must be non-negative")
         if self.sign() < 0 or self.compare(ONE) > 0:
             raise OutOfUnitInterval("value outside [0, 1]")
-        tail = []
-        for f, c in self._terms:
-            if f <= e:
-                # 2**-f = 2**(e-f) * 2**-e: always a lattice multiple
-                if (f - e) > 0:
-                    raise NonconformingHead(f"head exponent {f} > {e}")
-            else:
-                tail.append((f, c))
+        # for f <= e, 2**-f = 2**(e-f) * 2**-e is a lattice multiple
+        tail = [(f, c) for f, c in self._terms if f > e]
         t = SparseDyadic(tail)
         if t.is_zero():
             return SparseDyadic.zero()
@@ -249,14 +243,7 @@ class SparseDyadic:
                 mag = abs(c)
                 coeff = "" if mag == 1 else f"{mag}*"
                 notes.append(f"{sgn}{coeff}2^-{f}")
-        scaled = small * 10 ** digits
-        # round to nearest, ties away from zero
-        q, r = divmod(abs(scaled.numerator), scaled.denominator)
-        if 2 * r >= scaled.denominator:
-            q += 1
-        neg = scaled < 0
-        text = str(q).rjust(digits + 1, "0")
-        body = f"{'-' if neg else ''}{text[:-digits]}.{text[-digits:]}"
+        body = round_decimal(small, digits)
         if notes:
             body += " (" + " ".join(notes) + ")"
         return body

@@ -56,11 +56,6 @@ class OutOfUnitInterval(ThinsetError):
     pass
 
 
-class NonconformingHead(ThinsetError):
-    """Internal invariant: a head exponent failed to divide into the
-    lattice scale.  Unreachable for valid inputs."""
-
-
 # --- lattice intersection sets ---
 
 class RegimeViolation(ThinsetError):

@@ -135,14 +135,12 @@ def rapid_sequence(chain, i):
     the exponent inequality e_i > rho_n, which the branching condition
     phi_n < M_n - 1 guarantees.
     """
-    if not 1 <= i <= chain.depth:
-        raise LevelOutOfRange(f"level {i} outside 1..{chain.depth}")
+    ei = chain.lattice_exponent(i)
     for n in range(1, i):
         if not chain.phi[n - 1] < chain.M[n - 1] - 1:
             raise RegimeViolation(
                 f"level {n} fails phi < M - 1 "
                 f"({chain.phi[n - 1]} vs {chain.M[n - 1] - 1})")
-    ei = chain.e[i - 1]
     trace = []
     for n in range(1, chain.levels + 1):
         if n >= i:
@@ -297,19 +295,14 @@ def _interval_at(chain, level, x):
                            radius_exponent=chain.rho[level - 1])
 
 
-def _as_fraction(value):
-    if isinstance(value, SparseDyadic):
-        return value.to_fraction()
-    return Fraction(value)
-
-
 def _refine(chain, n, window, cap):
     """Exact survivors of the depth-n realization meeting the window.
 
-    Returns (nodes, den): nodes maps the numerator m of each surviving
-    level-n lattice center m * 2**-e_n to the disjoint feasible
-    sub-intervals witnessing a point that satisfies every ancestor
-    constraint, as integer pairs in units of 1/den.
+    Returns (nodes, den, counts): nodes maps the numerator m of each
+    surviving level-n lattice center m * 2**-e_n to the disjoint
+    feasible sub-intervals witnessing a point that satisfies every
+    ancestor constraint, as integer pairs in units of 1/den; counts[j-1]
+    is the number of level-j survivors, 0 past a level that empties.
 
     The cap bounds distinct centers per level; candidate enumeration
     work is bounded by 8 * cap so a branching blow-up raises
@@ -317,7 +310,7 @@ def _refine(chain, n, window, cap):
     """
     if not 1 <= n <= chain.levels:
         raise LevelOutOfRange(f"depth {n} outside 1..{chain.levels}")
-    lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
+    lo, hi = Fraction(window[0]), Fraction(window[1])
     if not 0 <= lo < hi <= 1:
         raise ValueError("window must satisfy 0 <= lo < hi <= 1")
     den = lcm(lo.denominator, hi.denominator)
@@ -325,6 +318,7 @@ def _refine(chain, n, window, cap):
     w = den >> u
     nodes = {0: [(lo.numerator * (den // lo.denominator),
                   hi.numerator * (den // hi.denominator))]}  # virtual root
+    counts = []
     for j in range(1, n + 1):
         ej, rho = chain.e[j - 1], chain.rho[j - 1]
         uj = max(u, check_exponent(max(ej, rho)))
@@ -357,10 +351,11 @@ def _refine(chain, n, window, cap):
             raise CapExceeded(
                 f"{len(new_nodes)} intervals at level {j} exceeds cap {cap}",
                 level=j)
+        counts.append(len(new_nodes))
         if not new_nodes:
-            return {}, w << u
+            return {}, w << u, counts + [0] * (n - j)
         nodes = new_nodes
-    return nodes, w << u
+    return nodes, w << u, counts
 
 
 def _add_piece(pieces, new):
@@ -380,7 +375,7 @@ def _add_piece(pieces, new):
 def enumerate_window(chain, n, window, cap):
     """Surviving level-n intervals meeting the window, as LatticeInterval
     records ordered by center."""
-    nodes, _ = _refine(chain, n, window, cap)
+    nodes = _refine(chain, n, window, cap)[0]
     rho = chain.rho[n - 1]
     return [LatticeInterval(level=n, center_numerator=m, radius_exponent=rho)
             for m in sorted(nodes)]
@@ -404,7 +399,7 @@ def localization_check(chain, i, g_numerator, n, cap=100000):
     g = Fraction(g_numerator, 1 << check_exponent(ei))
     half = Fraction(1, 2 << ei)
     lo, hi = max(Fraction(0), g - half), min(Fraction(1), g + half)
-    nodes, den = _refine(chain, n, (lo, hi), cap)
+    nodes, den, _ = _refine(chain, n, (lo, hi), cap)
     # den = w * 2**U with U >= rho_n > e_i once any level-n node survives
     g_units = g_numerator * (den >> ei)
     max_dist = 0
@@ -432,18 +427,10 @@ def dichotomy_probe(chain, n, window, cap):
     """
     if classify_regime(chain).tag != "Collapse":
         raise RegimeViolation("probe requires a collapse-regime chain")
-    counts = []
-    for j in range(1, n + 1):
-        counts.append(len(_refine(chain, j, window, cap)[0]))
-    stable_from = None
-    for i in range(1, chain.levels + 1):
-        if i < chain.depth and chain.rho[i - 1] > chain.e[i]:
-            stable_from = i
-            break
-    monotone = True
-    if stable_from is not None:
-        for j in range(max(stable_from, 1), len(counts)):
-            if counts[j] > counts[j - 1]:
-                monotone = False
+    counts = _refine(chain, n, window, cap)[2]
+    stable_from = next((i for i in range(1, chain.levels + 1)
+                        if chain.rho[i - 1] > chain.e[i]), None)
+    monotone = stable_from is None or all(
+        counts[j] <= counts[j - 1] for j in range(stable_from, len(counts)))
     return {"counts": counts, "stable_from": stable_from,
             "non_increasing": monotone}

@@ -140,16 +140,20 @@ def compare_with_bracket(lhs, rhs_fn, prec=DEFAULT_PREC, max_prec=MAX_PREC):
     raise PrecisionExhausted("bracket never separated the comparison")
 
 
+def round_decimal(x, digits):
+    """x rounded to `digits` >= 1 places, ties away from zero, as a
+    string; the sign is x's, so a tiny negative x reads -0.00..."""
+    x = Fraction(x)
+    q, r = divmod(abs(x.numerator) * 10 ** digits, x.denominator)
+    if 2 * r >= x.denominator:
+        q += 1
+    text = str(q).rjust(digits + 1, "0")
+    return f"{'-' if x < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+
+
 def bracket_to_decimal(lo, hi, digits=12):
     """Midpoint decimal with half-width error bound, both as strings."""
     lo, hi = Fraction(lo), Fraction(hi)
-    mid = (lo + hi) / 2
     err = (hi - lo) / 2
-    scale = 10 ** digits
-    q, r = divmod(abs(mid.numerator) * scale, mid.denominator)
-    if 2 * r >= mid.denominator:
-        q += 1
-    text = str(q).rjust(digits + 1, "0")
-    mid_s = f"{'-' if mid < 0 else ''}{text[:-digits]}.{text[-digits:]}"
-    err_num = ceil_div(err.numerator * scale, err.denominator)
-    return mid_s, f"{err_num}e-{digits}"
+    err_num = ceil_div(err.numerator * 10 ** digits, err.denominator)
+    return round_decimal((lo + hi) / 2, digits), f"{err_num}e-{digits}"

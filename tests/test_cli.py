@@ -99,6 +99,35 @@ class TestExitCodes:
         assert code == 2
         assert "ConfigError" in load(path)["error"]
 
+    @pytest.mark.parametrize("command, config", [
+        ("chain", [1, 2]), ("chain", "falconer"), ("chain", None),
+        ("member", {"chain": [3, 4], "depth": 1,
+                    "point": {"terms": []}}),
+        ("dim", {"chain": "desk", "n_range": [1]})])
+    def test_non_object_config_is_config_error(self, tmp_path, command,
+                                               config):
+        code, path = run(command, config, out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"].startswith("ConfigError")
+
+    def test_point_outside_unit_interval_is_refused(self, tmp_path):
+        cfg = {"chain": DESK_CHAIN, "depth": 2,
+               "point": {"terms": [["0", "1"], ["3", "1"]]}}
+        code, path = run("member", cfg, out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"].startswith("OutOfUnitInterval")
+
+    @pytest.mark.parametrize("command, config", [
+        ("window", {"chain": DESK_CHAIN, "n": 9}),
+        ("member", {"chain": DESK_CHAIN, "depth": 7,
+                    "point": {"terms": []}}),
+        ("dim", {"chain": DESK_CHAIN, "n_range": [0]}),
+        ("dichotomy", {"chain": COLLAPSE_CHAIN, "n": 0})])
+    def test_level_out_of_range_is_refused(self, tmp_path, command, config):
+        code, path = run(command, config, out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"].startswith("LevelOutOfRange")
+
 
 class TestCommands:
     def test_triple(self, tmp_path):

@@ -243,6 +243,26 @@ class TestReport:
         assert csv_text.splitlines()[0].startswith("n,delta_exponent")
         assert rep["fitted_C1"] is not None
 
+    def test_chain_rows_follow_log_convention(self):
+        base2 = build_custom_chain([3, 4, 5, 6], [1, 2, 3, 4], 5,
+                                   log_convention="base2")
+        reports = {}
+        for chain in (DESK, base2):
+            conv = chain.log_convention
+            rep = dimension_report(chain, [Fraction(1)], [1, 2, 3])
+            for row in rep["rows"]:
+                cov, d = row["covering"], row["delta_exponent"]
+                assert row["box_estimate"] == \
+                    box_estimate(cov, d, convention=conv)["decimal"]
+                assert row["hs_cost(s=1)"] == \
+                    hs_cover_cost(cov, d, 1, convention=conv)["decimal"]
+            reports[conv] = rep
+        nat, b2 = reports["natural"]["rows"], reports["base2"]["rows"]
+        assert [r["covering"] for r in nat] == [r["covering"] for r in b2]
+        assert nat[2]["box_estimate"] != b2[2]["box_estimate"]
+        assert reports["natural"]["fitted_C1"] != \
+            reports["base2"]["fitted_C1"]
+
     def test_empty_range(self):
         rep = dimension_report(DESK, [Fraction(1)], [])
         assert rep["rows"] == []

@@ -160,6 +160,9 @@ class TestRendering:
         y = SparseDyadic([(1 << 40, 1)])
         assert y.approx_decimal(6) == "0.000000 (+2^-1099511627776)"
         assert SparseDyadic.zero().approx_decimal(4) == "0"
+        assert SparseDyadic([(3, -1)]).approx_decimal(2) == "-0.13"
+        assert SparseDyadic([(3, -1), (200, 1)]).approx_decimal(2) == \
+            "-0.13 (+2^-200)"
 
     def test_json_roundtrip(self):
         x = SparseDyadic([(3, 1), (1 << 40, -7)])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from thinsets import falconer
 from thinsets.chain import build_custom_chain
 from thinsets.dyadic import SparseDyadic
 from thinsets.errors import (CapExceeded, ChainTooShallow, ConditionFailure,
@@ -256,6 +257,19 @@ class TestDichotomy:
     def test_branching_guard(self):
         with pytest.raises(RegimeViolation):
             dichotomy_probe(DESK, 3, FULL, 10000)
+
+    def test_one_refine_pass(self, monkeypatch):
+        calls = []
+        refine = falconer._refine
+
+        def counting(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(falconer, "_refine", counting)
+        rep = dichotomy_probe(COLLAPSE, 3, FULL, 10000)
+        assert rep["counts"] == [3, 3, 3]
+        assert len(calls) == 1
 
     def test_branching_counts_increase(self):
         counts = [len(enumerate_window(DESK, n, FULL, 10000))

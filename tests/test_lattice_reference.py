@@ -181,8 +181,9 @@ def random_chains(rng, regime, count):
 
 def windows(rng, chain):
     """The full window, a non-dyadic one, windows ending exactly on
-    h + r or h - r of some lattice point (one-point pieces), and a
-    random dyadic window."""
+    h + r or h - r of some lattice point (one-point pieces), gap windows
+    strictly between the radius-r neighbourhoods of adjacent lattice
+    points (empty from that level on), and a random dyadic window."""
     out = [FULL, (Fraction(1, 3), Fraction(5, 7))]
     j = rng.randrange(1, chain.levels + 1)
     h = Fraction(rng.randrange(0, (1 << chain.e[j - 1]) + 1),
@@ -192,6 +193,13 @@ def windows(rng, chain):
         out.append((h + r, min(Fraction(1), h + r + Fraction(1, 5))))
     if h - r > 0:
         out.append((max(Fraction(0), h - r - Fraction(1, 7)), h - r))
+    for j in range(1, chain.levels + 1):
+        step = Fraction(1, 1 << chain.e[j - 1])
+        r = Fraction(1, 1 << chain.rho[j - 1])
+        h = step * rng.randrange(0, 1 << chain.e[j - 1])
+        quarter = (step - 2 * r) / 4
+        if quarter > 0:
+            out.append((h + r + quarter, h + step - r - quarter))
     a, b = sorted(rng.sample(range(0, 257), 2))
     out.append((Fraction(a, 256), Fraction(b, 256)))
     return out
@@ -228,19 +236,21 @@ def test_refine_matches_reference(chain):
         full = ref_refine(chain, 3, window, CAP)
         tight = max(1, (len(full) - 1) // 8)
         for n, cap in ((1, CAP), (2, CAP), (3, CAP), (3, 40), (3, tight)):
-            want = outcome(lambda: list(
-                ref_refine(chain, n, window, cap).items()))
+            want = outcome(lambda: (
+                list(ref_refine(chain, n, window, cap).items()),
+                [len(ref_refine(chain, j, window, cap))
+                 for j in range(1, n + 1)]))
 
             def got():
-                nodes, den = _refine(chain, n, window, cap)
-                return as_fractions(chain, n, nodes, den)
+                nodes, den, counts = _refine(chain, n, window, cap)
+                return as_fractions(chain, n, nodes, den), counts
 
             assert outcome(got) == want, (window, n, cap)
-            if isinstance(want, list):
+            if want[0] != "CapExceeded":
                 centers = [Fraction(iv.center_numerator,
                                     1 << chain.e[n - 1])
                            for iv in enumerate_window(chain, n, window, cap)]
-                assert centers == sorted(h for h, _ in want)
+                assert centers == sorted(h for h, _ in want[0])
 
 
 @pytest.mark.parametrize("chain", CHAINS)

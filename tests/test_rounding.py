@@ -7,7 +7,8 @@ import pytest
 from thinsets.errors import PrecisionExhausted
 from thinsets.rounding import (_iroot_floor, bracket_to_decimal,
                                compare_with_bracket, ln2_bracket, ln_bracket,
-                               pow_bracket, rigorous_ceil_div_ln2)
+                               pow_bracket, rigorous_ceil_div_ln2,
+                               round_decimal)
 
 # ln 2 to 60 digits, reference constant
 LN2_REF = Fraction(
@@ -107,3 +108,17 @@ class TestDecimalRendering:
         mid, err = bracket_to_decimal(Fraction(1, 4), Fraction(3, 4), 2)
         assert mid == "0.50"
         assert err == "25e-2"
+
+    def test_round_decimal_ties_away_from_zero(self):
+        assert round_decimal(Fraction(1, 8), 2) == "0.13"
+        assert round_decimal(Fraction(-1, 8), 2) == "-0.13"
+        assert round_decimal(Fraction(5, 2), 1) == "2.5"
+        assert round_decimal(Fraction(25, 1000), 1) == "0.0"
+        assert round_decimal(Fraction(-5, 1000), 2) == "-0.01"
+        assert round_decimal(Fraction(-4999, 1000000), 2) == "-0.00"
+        assert round_decimal(Fraction(-7, 3), 3) == "-2.333"
+        assert round_decimal(Fraction(0), 3) == "0.000"
+
+    def test_negative_midpoint(self):
+        mid, err = bracket_to_decimal(Fraction(-3, 8), Fraction(-1, 8), 2)
+        assert (mid, err) == ("-0.25", "13e-2")
