@@ -16,6 +16,7 @@ from .errors import (DepthTooLarge, LevelOutOfRange, MonotonicityViolation,
 from .rounding import ceil_div, rigorous_ceil_div_ln2
 
 DEFAULT_BIT_BUDGET = 1 << 20
+LOG_CONVENTIONS = ("natural", "base2")
 
 # Shifts up to this many bits may be materialized as plain integers.
 # Tighter than errors.EXPONENT_LIMIT (2**16 bits) because ExactCount.__str__
@@ -149,6 +150,12 @@ class Regime:
     witness_level: int | None = None
 
 
+def _check_log_convention(name):
+    if name not in LOG_CONVENTIONS:
+        raise ValueError(f"log_convention must be 'natural' or 'base2', "
+                         f"not {name!r}")
+
+
 def build_custom_chain(M, phi, depth, log_convention="natural"):
     """Validate multipliers and exponent schedule and derive e, rho.
 
@@ -157,6 +164,7 @@ def build_custom_chain(M, phi, depth, log_convention="natural"):
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
+    _check_log_convention(log_convention)
     n = depth - 1
     if len(M) < n or len(phi) < n:
         raise ValueError(f"need at least {n} multipliers and phi values")
@@ -198,8 +206,7 @@ def build_explicit_chain(depth, log_convention="natural",
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if log_convention not in ("natural", "base2"):
-        raise ValueError("log_convention must be 'natural' or 'base2'")
+    _check_log_convention(log_convention)
     M = []
     e = [1]
     product = Fraction(1)  # prod of (1 + q_j**2) over built levels

@@ -20,9 +20,10 @@ from . import dimension as dim_mod
 from . import falconer as fal_mod
 from . import independent as ind_mod
 from .dyadic import SparseDyadic
-from .errors import (CapExceeded, ConditionFailure, ConfigError,
-                     ExponentTooLarge, LevelOutOfRange, OutOfUnitInterval,
-                     RegimeViolation, ThinsetError)
+from .errors import (CapExceeded, CarryBudgetExceeded, ConditionFailure,
+                     ConfigError, ExponentTooLarge, GrowthPropertyMissing,
+                     LevelOutOfRange, OutOfUnitInterval, RegimeViolation,
+                     ThinsetError)
 
 SCHEMA = "thinset-report/1"
 
@@ -177,10 +178,13 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     raw = json.dumps(config_doc, sort_keys=True).encode()
     opts = {"prec": prec, "cap": cap, "log_convention": log_convention}
     try:
+        if prec < 1:
+            raise ConfigError(f"precision must be at least 1 bit, not {prec}")
         code, body = _COMMANDS[command](_object(config_doc, "config"), opts)
     except (ConfigError, RegimeViolation, ConditionFailure, CapExceeded,
-            ExponentTooLarge, LevelOutOfRange, OutOfUnitInterval, KeyError,
-            ValueError, TypeError) as ex:
+            CarryBudgetExceeded, ExponentTooLarge, GrowthPropertyMissing,
+            LevelOutOfRange, OutOfUnitInterval, KeyError, ValueError,
+            TypeError) as ex:
         code, body = 2, {"error": f"{type(ex).__name__}: {ex}"}
     except ThinsetError as ex:
         code, body = 1, {"error": f"{type(ex).__name__}: {ex}"}
@@ -215,7 +219,7 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="report directory")
     parser.add_argument("--precision-bits", type=int, default=128)
     parser.add_argument("--cap", type=int, default=100000)
-    parser.add_argument("--log-convention", choices=["natural", "base2"],
+    parser.add_argument("--log-convention", choices=chain_mod.LOG_CONVENTIONS,
                         default="natural")
     args = parser.parse_args(argv)
     try:

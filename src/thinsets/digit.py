@@ -3,6 +3,12 @@
 The exponent schedule g replaces super-exponential decay constants with
 integers so separation, tail bounds, membership, and triple-sumset
 containment are all decided exactly in sparse dyadic arithmetic.
+
+Membership reads the canonical binary form of x.  A sum whose
+coefficients are all 1 is a sum of distinct powers 2**-f, which is
+non-negative and already canonical, so it is decided by looking its
+exponents up in the table with no sign test and no carry walk.  Every
+other value goes through the exact sign test and the carry walk.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import SparseDyadic
-from .errors import GrowthPropertyMissing, PartitionOverlap, UniverseExceeded
+from .errors import (CarryBudgetExceeded, GrowthPropertyMissing,
+                     PartitionOverlap, UniverseExceeded)
 from .rounding import DEFAULT_PREC, bracket_to_decimal
 from . import dimension
 
@@ -147,8 +154,9 @@ def _canonical_digits(x, digit_limit):
     """Exponents of the canonical all-ones binary form of x >= 0.
 
     Returns None when the expansion needs more than digit_limit digits
-    (then x cannot be a digit-set sum).  Carries propagate sparsely, so
-    tower-scale exponents never force a full expansion.
+    or x >= 2 (either way x cannot be a digit-set sum).  Carries
+    propagate sparsely, so tower-scale exponents never force a full
+    expansion; a walk longer than _CANON_STEPS raises CarryBudgetExceeded.
     """
     coeffs = dict(x.terms)
     heap = [-f for f in coeffs]
@@ -158,7 +166,8 @@ def _canonical_digits(x, digit_limit):
     while heap:
         steps += 1
         if steps > _CANON_STEPS:
-            return None
+            raise CarryBudgetExceeded(
+                f"carry walk exceeded the step budget {_CANON_STEPS}")
         f = -heapq.heappop(heap)
         c = coeffs.pop(f, 0)
         if c == 0:
@@ -180,27 +189,38 @@ def _canonical_digits(x, digit_limit):
     return sorted(out)
 
 
-def member_K(spec, x):
+def _universe(spec):
+    """(top, exponent -> index) over the tabulated indices 1..N_max."""
+    g = spec.g[:spec.N_max]
+    return g[-1], {f: n for n, f in enumerate(g, start=1)}
+
+
+def member_K(spec, x, universe=None):
     """Is x a sum of distinct a_n over tabulated indices?  Returns the
-    digit index set when it is."""
-    if x.sign() < 0:
+    digit index set when it is.  universe is _universe(spec), passed in
+    by callers that test many values against one spec.
+
+    An all-ones x is its own canonical form (see the module docstring).
+    More than N_max such digits cannot all be tabulated, so the index
+    lookup rejects them without a count.  Digits ascend and g increases,
+    so the indices come out sorted.
+    """
+    top, exp_to_index = universe or _universe(spec)
+    terms = x.terms
+    all_ones = all(c == 1 for _, c in terms)
+    if not all_ones and x.sign() < 0:
         raise ValueError("membership requires x >= 0")
-    top = spec.g_exponent(spec.N_max)
-    if any(f > top for f, _ in x.terms):
+    if terms and terms[-1][0] > top:
         raise UniverseExceeded(
             f"exponent beyond the tabulated universe 2**-{top}")
-    digits = _canonical_digits(x, spec.N_max)
+    digits = ([f for f, _ in terms] if all_ones
+              else _canonical_digits(x, spec.N_max))
     if digits is None:
         return {"member": False, "digits": None}
-    exp_to_index = {spec.g_exponent(n): n
-                    for n in range(1, spec.N_max + 1)}
-    indices = []
-    for f in digits:
-        n = exp_to_index.get(f)
-        if n is None:
-            return {"member": False, "digits": None}
-        indices.append(n)
-    return {"member": True, "digits": sorted(indices)}
+    indices = [exp_to_index.get(f) for f in digits]
+    if None in indices:
+        return {"member": False, "digits": None}
+    return {"member": True, "digits": indices}
 
 
 def subset_sums(spec, class_index, index_cap):
@@ -224,16 +244,17 @@ def verify_triple_sumset(spec, index_cap):
     total = 0
     passed = 0
     failures = []
+    universe = _universe(spec)
     for x1 in sets[0]:
         for x2 in sets[1]:
+            t12 = x1.terms + x2.terms
             for x3 in sets[2]:
                 total += 1
-                rep = member_K(spec, x1.add(x2).add(x3))
-                if rep["member"]:
+                x = SparseDyadic(t12 + x3.terms)
+                if member_K(spec, x, universe)["member"]:
                     passed += 1
                 elif len(failures) < 10:
-                    failures.append({
-                        "sum": x1.add(x2).add(x3).to_json()})
+                    failures.append({"sum": x.to_json()})
     return {"ok": passed == total, "total": total, "passed": passed,
             "set_sizes": [len(s) for s in sets], "failures": failures,
             "growth": spec.growth}

@@ -120,6 +120,10 @@ class UniverseExceeded(ThinsetError):
     pass
 
 
+class CarryBudgetExceeded(ThinsetError):
+    """A canonical-digit carry walk ran past its step budget."""
+
+
 class PartitionOverlap(ThinsetError):
     pass
 

@@ -128,6 +128,42 @@ class TestExitCodes:
         assert code == 2
         assert load(path)["error"].startswith("LevelOutOfRange")
 
+    @pytest.mark.parametrize("prec", [0, -5])
+    def test_non_positive_precision_is_refused(self, tmp_path, prec):
+        code, path = run("dim", {"chain": DESK_CHAIN, "n_range": [2]},
+                         out_dir=str(tmp_path), prec=prec)
+        assert code == 2
+        assert load(path)["error"].startswith("ConfigError: precision")
+
+    @pytest.mark.parametrize("chain", [
+        DESK_CHAIN, {"kind": "explicit", "depth": 1}])
+    def test_unknown_log_convention_is_refused(self, tmp_path, chain):
+        code, path = run("chain", chain, out_dir=str(tmp_path),
+                         log_convention="base10")
+        assert code == 2
+        assert "log_convention" in load(path)["error"]
+
+    def test_missing_growth_step_is_refused(self, tmp_path):
+        code, path = run("cantor-digit",
+                         {"spec": {"g": [2, 4, 8], "N_max": 3}},
+                         out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"].startswith("GrowthPropertyMissing")
+
+    def test_carry_budget_is_refused(self, tmp_path, monkeypatch):
+        # running out of carry steps is not a failed verification
+        from thinsets import digit
+        from thinsets.errors import CarryBudgetExceeded
+
+        def over_budget(spec, index_cap):
+            raise CarryBudgetExceeded("step budget 100000")
+        monkeypatch.setattr(digit, "verify_triple_sumset", over_budget)
+        code, path = run("cantor-digit", {"spec": DIGIT_SPEC},
+                         out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"] == \
+            "CarryBudgetExceeded: step budget 100000"
+
 
 class TestCommands:
     def test_triple(self, tmp_path):

@@ -9,8 +9,8 @@ from thinsets.digit import (DigitSpec, beyond_table_bound_exponent,
                             separation_check, subset_sums, tau_bound,
                             verify_triple_sumset)
 from thinsets.dyadic import SparseDyadic
-from thinsets.errors import (GrowthPropertyMissing, PartitionOverlap,
-                             UniverseExceeded)
+from thinsets.errors import (CarryBudgetExceeded, GrowthPropertyMissing,
+                             PartitionOverlap, UniverseExceeded)
 
 STEP2 = "g(n+1)>=g(n)+2"
 
@@ -143,6 +143,24 @@ class TestMembership:
             member_K(pow2_spec(4), SparseDyadic.power(20))
         with pytest.raises(ValueError):
             member_K(pow2_spec(4), SparseDyadic([(2, -1)]))
+
+    def test_carry_budget_is_not_a_verdict(self):
+        # a_16 = 2**-65536 written at the finest exponent needs a
+        # 196608-step carry walk: over budget, so no verdict is given
+        spec = DigitSpec(g=tuple(2 ** k for k in range(1, 19)), N_max=18)
+        top = spec.g_exponent(18)
+        assert member_K(spec, SparseDyadic.power(65536)) == \
+            {"member": True, "digits": [16]}
+        with pytest.raises(CarryBudgetExceeded, match="100000"):
+            member_K(spec, SparseDyadic([(top, 1 << (top - 65536))]))
+
+    def test_digit_limit_ends_the_walk(self):
+        # 2 - 2**-top has top + 1 binary digits; the walk stops after
+        # N_max + 1 of them instead of running into the step budget
+        spec = DigitSpec(g=tuple(2 ** k for k in range(1, 18)), N_max=17)
+        top = spec.g_exponent(17)
+        x = SparseDyadic([(top, (1 << (top + 1)) - 1)])
+        assert member_K(spec, x) == {"member": False, "digits": None}
 
     def test_uniqueness_of_subset_sums(self):
         # all 2**12 digit sums over a 12-entry table are distinct
