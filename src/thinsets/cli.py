@@ -2,7 +2,10 @@
 verifications, and emit JSON/CSV reports.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 the config
-or requested operation is invalid.
+or requested operation is invalid or ran out of budget (the error
+class's exit_code).  Window interval records are rendered from one
+template to the bytes json.dumps would write: its pure-Python indent
+encoder is most of the cost of a large window.
 """
 
 from __future__ import annotations
@@ -20,12 +23,19 @@ from . import dimension as dim_mod
 from . import falconer as fal_mod
 from . import independent as ind_mod
 from .dyadic import SparseDyadic
-from .errors import (CapExceeded, CarryBudgetExceeded, ConditionFailure,
-                     ConfigError, ExponentTooLarge, GrowthPropertyMissing,
-                     LevelOutOfRange, OutOfUnitInterval, RegimeViolation,
-                     ThinsetError)
+from .errors import CapExceeded, ConfigError, ThinsetError
 
 SCHEMA = "thinset-report/1"
+
+# One interval record of a window report as json.dumps(indent=2,
+# sort_keys=True) lays it out inside the top-level "intervals" list.
+_RECORD = ('    {\n      "level": %d,\n      "numerator": "%d",\n'
+           '      "radius_exponent": "%d"\n    }')
+
+
+class _Records(str):
+    """A window report's interval records, rendered from _RECORD and
+    joined by a comma and a newline; _report_text puts them in place."""
 
 
 def _object(doc, what):
@@ -91,10 +101,12 @@ def _cmd_tree(cfg, opts):
 
 def _cmd_window(cfg, opts):
     chain = _load_chain(cfg["chain"], opts["log_convention"], opts["prec"])
-    survivors = fal_mod.enumerate_window(chain, int(cfg["n"]), _window(cfg),
-                                         opts["cap"])
-    return 0, {"count": len(survivors),
-               "intervals": [j.to_json() for j in survivors]}
+    n = int(cfg["n"])
+    numerators = fal_mod.survivor_numerators(chain, n, _window(cfg),
+                                             opts["cap"])
+    rho = chain.rho[n - 1]
+    records = ",\n".join([_RECORD % (n, m, rho) for m in numerators])
+    return 0, {"count": len(numerators), "intervals": _Records(records)}
 
 
 def _cmd_dichotomy(cfg, opts):
@@ -147,9 +159,13 @@ def _cmd_cantor_indep(cfg, opts):
 def _cmd_cantor_digit(cfg, opts):
     spec = digit_mod.DigitSpec.from_json(cfg["spec"])
     sep = digit_mod.separation_check(spec, int(cfg.get("N", spec.N_max)))
-    triple = digit_mod.verify_triple_sumset(spec,
-                                            int(cfg.get("index_cap",
-                                                        spec.N_max)))
+    index_cap = int(cfg.get("index_cap", spec.N_max))
+    if index_cap < 1:
+        raise ConfigError(f"index_cap must be at least 1, not {index_cap}")
+    sums = digit_mod.triple_sum_count(spec, index_cap)
+    if sums > opts["cap"]:
+        raise CapExceeded(f"{sums} triple sums exceed cap {opts['cap']}")
+    triple = digit_mod.verify_triple_sumset(spec, index_cap)
     out = {"separation": sep, "triple_sumset": triple}
     if "s_grid" in cfg and "n_range" in cfg:
         out["gauge_costs"] = digit_mod.dimension_zero_diagnostic(
@@ -172,6 +188,22 @@ _COMMANDS = {
 }
 
 
+def _report_text(report):
+    """json.dumps(report, indent=2, sort_keys=True) plus a newline, with
+    _Records spliced in for an empty "intervals" list.  A newline
+    followed by two spaces starts a top-level key (JSON escapes newlines
+    in strings), so the empty list's line is found once."""
+    records = report.get("intervals")
+    if not isinstance(records, _Records):
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**report, "intervals": []}, indent=2,
+                      sort_keys=True) + "\n"
+    if not records:
+        return text
+    return text.replace('\n  "intervals": [],',
+                        '\n  "intervals": [\n' + records + '\n  ],', 1)
+
+
 def run(command, config_doc, out_dir=".", prec=128, cap=100000,
         log_convention="natural"):
     """Execute one command; returns (exit_code, report_path)."""
@@ -180,14 +212,15 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     try:
         if prec < 1:
             raise ConfigError(f"precision must be at least 1 bit, not {prec}")
+        if log_convention not in chain_mod.LOG_CONVENTIONS:
+            raise ConfigError(f"log_convention must be one of "
+                              f"{', '.join(chain_mod.LOG_CONVENTIONS)}, "
+                              f"not {log_convention!r}")
         code, body = _COMMANDS[command](_object(config_doc, "config"), opts)
-    except (ConfigError, RegimeViolation, ConditionFailure, CapExceeded,
-            CarryBudgetExceeded, ExponentTooLarge, GrowthPropertyMissing,
-            LevelOutOfRange, OutOfUnitInterval, KeyError, ValueError,
-            TypeError) as ex:
-        code, body = 2, {"error": f"{type(ex).__name__}: {ex}"}
     except ThinsetError as ex:
-        code, body = 1, {"error": f"{type(ex).__name__}: {ex}"}
+        code, body = ex.exit_code, {"error": f"{type(ex).__name__}: {ex}"}
+    except (KeyError, ValueError, TypeError) as ex:
+        code, body = 2, {"error": f"{type(ex).__name__}: {ex}"}
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -199,7 +232,7 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     report.update(body)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.replace('-', '_')}_report.json")
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _report_text(report)
     with open(path, "w") as fh:
         fh.write(text)
     csv_text = body.get("csv")

@@ -234,6 +234,12 @@ def subset_sums(spec, class_index, index_cap):
     return out
 
 
+def triple_sum_count(spec, index_cap):
+    """|S_1| * |S_2| * |S_3|, the number of sums verify_triple_sumset
+    enumerates: class i contributes 2**(its index count) subset sums."""
+    return 1 << sum(len(spec.class_indices(i, index_cap)) for i in (1, 2, 3))
+
+
 def verify_triple_sumset(spec, index_cap):
     """Every sum from S_1 x S_2 x S_3 is a member of K, exhaustively.
 

@@ -1,7 +1,8 @@
 """Covering and packing counters with logarithmic-gauge diagnostics.
 
 Counts are exact, on any exact ordered numbers: Fractions at the API,
-integers in units of 2**-U inside dimension_report.  Every transcendental
+integers in units of 2**-U inside dimension_report, which clips each
+survivor interval straight from its center numerator.  Every transcendental
 quantity (ln 2, rational powers) is a certified bracket, and inequality
 verdicts are made only when a bracket separates the two sides.  The
 bracket of log q = log 2**d is built only in _log_q_bracket, under the
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LevelOutOfRange, check_exponent
-from .falconer import enumerate_window
+from .falconer import survivor_numerators
 from .rounding import (DEFAULT_PREC, MAX_PREC, bracket_to_decimal,
                        ceil_div, compare_with_bracket, ln2_bracket,
                        ln_bracket, pow_bracket)
@@ -43,10 +44,9 @@ class GaugeParams:
             raise ValueError("constant C must be positive")
 
 
-def intervals_from_lattice(chain, lattice_intervals, unit_exponent=None):
-    """(lo, hi) pairs for LatticeInterval records: Fractions, or integers
-    in units of 2**-unit_exponent (see LatticeInterval.bounds)."""
-    return [j.bounds(chain, unit_exponent) for j in lattice_intervals]
+def intervals_from_lattice(chain, lattice_intervals):
+    """(lo, hi) Fraction pairs for LatticeInterval records."""
+    return [j.bounds(chain) for j in lattice_intervals]
 
 
 def _pow2(k):
@@ -256,12 +256,17 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
     for n in n_range:
         if hasattr(source, "rho"):
             # delta = 4 * r_n, clamped to the finest gauge-admissible mesh;
-            # bounds are ints in units of 2**-u, so delta is 2**-(d-u) units
-            d = max(source.rho[n - 1] - 2, 2)
-            u = max(source.rho[n - 1], d)
-            ivs = intervals_from_lattice(
-                source, enumerate_window(source, n, (Fraction(0),
-                                                     Fraction(1)), cap), u)
+            # bounds are ints in units of 2**-u, so delta is 2**-(d-u) units.
+            # Survivor m is [m * 2**-e_n - r_n, m * 2**-e_n + r_n] n [0, 1];
+            # the shifts come after _refine has checked u = max(rho_n, 2).
+            rho = source.rho[n - 1]
+            d = max(rho - 2, 2)
+            u = max(rho, d)
+            nums = survivor_numerators(source, n, (Fraction(0), Fraction(1)),
+                                       cap)
+            shift, r, top = u - source.e[n - 1], 1 << (u - rho), 1 << u
+            ivs = [(max(0, c - r), min(top, c + r))
+                   for c in (m << shift for m in nums)]
             cov = covering_number(ivs, d - u)
             pack = packing_number(ivs, d - u)
             try:

@@ -6,7 +6,15 @@ EXPONENT_LIMIT = 1 << 16
 
 
 class ThinsetError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    exit_code is the CLI exit code of a report ending in this error: 1
+    when a verification failed, 2 when the config or the requested
+    operation is invalid or a budget ran out, which is no verdict.  Every
+    subclass declares its own.
+    """
+
+    exit_code = 1
 
 
 class InvariantViolation(RuntimeError):
@@ -17,6 +25,8 @@ class InvariantViolation(RuntimeError):
 
 class ExponentTooLarge(ThinsetError, OverflowError):
     """A power of two is too large to materialize."""
+
+    exit_code = 2
 
 
 def check_exponent(k):
@@ -33,17 +43,23 @@ def check_exponent(k):
 class NonIntegerRadiusExponent(ThinsetError):
     """e_i * phi_i is not an integer, so the radius is not dyadic."""
 
+    exit_code = 1
+
 
 class MonotonicityViolation(ThinsetError):
     """A multiplier or exponent schedule is not strictly increasing."""
+
+    exit_code = 1
 
 
 class DepthTooLarge(ThinsetError):
     """Intermediate integers would exceed the configured bit budget."""
 
+    exit_code = 1
+
 
 class LevelOutOfRange(ThinsetError):
-    pass
+    exit_code = 2
 
 
 # --- sparse dyadic arithmetic ---
@@ -51,9 +67,11 @@ class LevelOutOfRange(ThinsetError):
 class TermCapExceeded(ThinsetError):
     """An operation produced more terms than the configured cap."""
 
+    exit_code = 2
+
 
 class OutOfUnitInterval(ThinsetError):
-    pass
+    exit_code = 2
 
 
 # --- lattice intersection sets ---
@@ -61,13 +79,17 @@ class OutOfUnitInterval(ThinsetError):
 class RegimeViolation(ThinsetError):
     """An operation required a branching/collapse regime the chain lacks."""
 
+    exit_code = 2
+
 
 class ChainTooShallow(ThinsetError):
-    pass
+    exit_code = 1
 
 
 class ConditionFailure(ThinsetError):
     """A tree-construction inequality failed; carries level and condition."""
+
+    exit_code = 2
 
     def __init__(self, message, level=None, condition=None):
         super().__init__(message)
@@ -76,13 +98,15 @@ class ConditionFailure(ThinsetError):
 
 
 class CapExceeded(ThinsetError):
+    exit_code = 2
+
     def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
 
 
 class PreconditionFailure(ThinsetError):
-    pass
+    exit_code = 1
 
 
 # --- interval evaluation ---
@@ -91,44 +115,49 @@ class PrecisionExhausted(ThinsetError):
     """Directed rounding could not separate the two sides of a comparison
     within the precision budget."""
 
+    exit_code = 2
+
 
 # --- independent Cantor tree ---
 
 class ExhaustedUniverse(ThinsetError):
-    pass
+    exit_code = 1
 
 
 class ChoiceFailure(ThinsetError):
-    pass
+    exit_code = 1
 
 
 class DuplicateInput(ThinsetError):
-    pass
+    exit_code = 1
 
 
 class SearchSpaceTooLarge(ThinsetError):
-    pass
+    exit_code = 2
 
 
 # --- digit Cantor set ---
 
 class GrowthPropertyMissing(ThinsetError):
-    pass
+    exit_code = 2
 
 
 class UniverseExceeded(ThinsetError):
-    pass
+    exit_code = 2
 
 
 class CarryBudgetExceeded(ThinsetError):
     """A canonical-digit carry walk ran past its step budget."""
 
+    exit_code = 2
+
 
 class PartitionOverlap(ThinsetError):
-    pass
+    exit_code = 2
 
 
 # --- CLI ---
 
 class ConfigError(ThinsetError):
-    pass
+    exit_code = 2
+

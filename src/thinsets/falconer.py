@@ -6,6 +6,11 @@ uses sparse dyadic distances, window enumeration keeps every endpoint
 (a window endpoint or m * 2**-e_j +- 2**-rho_j) as an integer in units
 of the finest scale, and all inequality checks reduce to integer
 exponent comparisons.
+
+A level-n survivor is named by its center numerator m alone (center
+m * 2**-e_n, radius 2**-rho_n).  survivor_numerators hands those ints
+to the window report and the dimension table; enumerate_window wraps
+them in LatticeInterval records for callers that want objects.
 """
 
 from __future__ import annotations
@@ -35,18 +40,14 @@ class LatticeInterval:
         return Fraction(self.center_numerator,
                         1 << check_exponent(chain.e[self.level - 1]))
 
-    def bounds(self, chain, unit_exponent=None):
-        """Clipped endpoints as Fractions, or as integers in units of
-        2**-unit_exponent (at least e_level and the radius exponent)."""
+    def bounds(self, chain):
+        """Clipped endpoints as Fractions."""
         e = chain.e[self.level - 1]
-        u = check_exponent(max(e, self.radius_exponent)
-                           if unit_exponent is None else unit_exponent)
+        u = check_exponent(max(e, self.radius_exponent))
         c = self.center_numerator << (u - e)
         r = 1 << (u - self.radius_exponent)
         lo, hi = max(0, c - r), min(1 << u, c + r)
-        if unit_exponent is None:
-            return Fraction(lo, 1 << u), Fraction(hi, 1 << u)
-        return lo, hi
+        return Fraction(lo, 1 << u), Fraction(hi, 1 << u)
 
     def to_json(self):
         return {"level": self.level,
@@ -372,13 +373,17 @@ def _add_piece(pieces, new):
     pieces[:] = out
 
 
+def survivor_numerators(chain, n, window, cap):
+    """Center numerators m of the surviving level-n intervals meeting the
+    window (center m * 2**-e_n, radius 2**-rho_n), in increasing order."""
+    return sorted(_refine(chain, n, window, cap)[0])
+
+
 def enumerate_window(chain, n, window, cap):
     """Surviving level-n intervals meeting the window, as LatticeInterval
     records ordered by center."""
-    nodes = _refine(chain, n, window, cap)[0]
-    rho = chain.rho[n - 1]
-    return [LatticeInterval(level=n, center_numerator=m, radius_exponent=rho)
-            for m in sorted(nodes)]
+    return [LatticeInterval(n, m, chain.rho[n - 1])
+            for m in survivor_numerators(chain, n, window, cap)]
 
 
 def localization_check(chain, i, g_numerator, n, cap=100000):

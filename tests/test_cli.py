@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
+import importlib
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
-from thinsets import __version__
+from thinsets import __version__, errors
+from thinsets.chain import build_custom_chain
 from thinsets.cli import main, run
+from thinsets.falconer import enumerate_window
 
 DESK_CHAIN = {"kind": "falconer", "M": [3, 4, 5, 6],
               "phi": [1, 2, 3, 4], "depth": 5}
@@ -13,6 +18,9 @@ COLLAPSE_CHAIN = {"kind": "falconer", "M": [3, 4, 5],
                   "phi": [4, 5, 6], "depth": 4}
 DIGIT_SPEC = {"g": [2, 4, 8, 16, 32, 64], "N_max": 6,
               "growth": "g(n+1)>=g(n)+2", "partition": "mod3"}
+# e_4 = 120, so level-4 numerators near 1 exceed 2**64
+WIDE_CHAIN = {"kind": "falconer", "M": [4, 5, 6, 7],
+              "phi": [1, 2, 3, 4], "depth": 5}
 
 
 def load(path):
@@ -22,6 +30,16 @@ def load(path):
 
 def strip_timestamp(doc):
     return {k: v for k, v in doc.items() if k != "timestamp"}
+
+
+def first_line_difference(got, want):
+    """None when the texts are equal, else the index and the pair of the
+    first differing lines (a full diff of a large report is too slow)."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines(True) + [""], want.splitlines(True) + [""])
+    return next((i, pair) for i, pair in enumerate(pairs)
+                if pair[0] != pair[1])
 
 
 class TestReportEnvelope:
@@ -163,6 +181,122 @@ class TestExitCodes:
         assert code == 2
         assert load(path)["error"] == \
             "CarryBudgetExceeded: step budget 100000"
+
+    def test_every_error_class_declares_its_exit_code(self):
+        classes, pending = [], [errors.ThinsetError]
+        while pending:
+            cls = pending.pop()
+            classes.append(cls)
+            pending.extend(cls.__subclasses__())
+        assert len(classes) > 20
+        for cls in classes:
+            assert cls.__dict__.get("exit_code") in (1, 2), cls.__name__
+
+    @pytest.mark.parametrize("command, config, error", [
+        # overlapping explicit classes: a bad config
+        ("cantor-digit",
+         {"spec": dict(DIGIT_SPEC, partition=[[1, 4], [2, 4, 5], [3, 6]])},
+         "PartitionOverlap: index 4 in classes 1 and 2"),
+        # a search budget, not a failed independence check
+        ("cantor-indep",
+         {"n_max": 4, "rho": ["1/10", "1/128", "1/4096", "1/1000000"]},
+         "SearchSpaceTooLarge: limits: 8 points, height 4, arity 4"),
+        # a point past the sparse term cap is no non-member
+        ("member",
+         {"chain": DESK_CHAIN, "depth": 2,
+          "point": {"terms": [[str(k), "1"] for k in range(1, 5001)]}},
+         "TermCapExceeded: 5000 terms exceeds cap 4096")])
+    def test_budget_and_config_errors_are_refused(self, tmp_path, command,
+                                                  config, error):
+        code, path = run(command, config, out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"] == error
+
+    def test_triple_sum_budget_is_refused(self, tmp_path):
+        # 12 indices in three classes: 2**12 = 4096 triple sums
+        spec = {"g": list(range(2, 26, 2)), "N_max": 12,
+                "growth": "g(n+1)>=g(n)+2"}
+        code, path = run("cantor-digit", {"spec": spec},
+                         out_dir=str(tmp_path), cap=4095)
+        assert code == 2
+        assert load(path)["error"] == \
+            "CapExceeded: 4096 triple sums exceed cap 4095"
+        code, path = run("cantor-digit", {"spec": spec},
+                         out_dir=str(tmp_path), cap=4096)
+        assert code == 0
+        assert load(path)["triple_sumset"]["total"] == 4096
+
+    def test_unknown_log_convention_without_chain_is_refused(self,
+                                                             tmp_path):
+        code, path = run("cantor-digit", {"spec": DIGIT_SPEC},
+                         out_dir=str(tmp_path), log_convention="base10")
+        assert code == 2
+        assert load(path)["error"].startswith("ConfigError: log_convention")
+
+    @pytest.mark.parametrize("index_cap", [0, -1])
+    def test_non_positive_index_cap_is_refused(self, tmp_path, index_cap):
+        code, path = run("cantor-digit",
+                         {"spec": DIGIT_SPEC, "index_cap": index_cap},
+                         out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"] == \
+            f"ConfigError: index_cap must be at least 1, not {index_cap}"
+
+
+def test_class_functions_belong_to_their_module():
+    # profilers that wrap the package's functions (bench/tracing.py) file
+    # each one under the module named by its __module__
+    for name in ("chain", "cli", "digit", "dimension", "dyadic",
+                 "falconer", "independent", "rounding"):
+        mod = importlib.import_module(f"thinsets.{name}")
+        for cls in vars(mod).values():
+            if not inspect.isclass(cls) or cls.__module__ != mod.__name__ \
+                    or issubclass(cls, BaseException):
+                continue
+            for attr, val in vars(cls).items():
+                fn = getattr(val, "__func__", val)
+                if inspect.isfunction(fn) and (attr == "__init__" or
+                                               not attr.startswith("__")):
+                    assert fn.__module__ == mod.__name__, \
+                        f"{cls.__name__}.{attr} comes from {fn.__module__}"
+
+
+class TestWindowReport:
+    """Window records come from a template; the report must still be
+    exactly json.dumps of the LatticeInterval records."""
+
+    @pytest.mark.parametrize("chain, n, window, count", [
+        (DESK_CHAIN, 2, ["1/32", "1/16"], 0),  # between level-2 radii
+        (DESK_CHAIN, 2, ["0", "1/1000"], 1),
+        (DESK_CHAIN, 3, ["0", "1"], 1033),
+        (WIDE_CHAIN, 4, [f"{2 ** 118 - 1}/{2 ** 118}", "1"], 5)])
+    def test_records_match_json_dumps(self, tmp_path, chain, n, window,
+                                      count):
+        code, path = run("window", {"chain": chain, "n": n,
+                                    "window": window},
+                         out_dir=str(tmp_path))
+        with open(path) as fh:
+            text = fh.read()
+        built = build_custom_chain(chain["M"], chain["phi"], chain["depth"])
+        records = [iv.to_json() for iv in enumerate_window(
+            built, n, tuple(map(Fraction, window)), 100000)]
+        assert code == 0
+        assert len(records) == count
+        expected = dict(json.loads(text), intervals=records)
+        assert first_line_difference(
+            text, json.dumps(expected, indent=2, sort_keys=True) + "\n") \
+            is None
+
+    def test_error_report_matches_json_dumps(self, tmp_path):
+        code, path = run("window", {"chain": DESK_CHAIN, "n": 3},
+                         out_dir=str(tmp_path), cap=100)
+        with open(path) as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert code == 2
+        assert doc["error"].startswith("CapExceeded")
+        assert first_line_difference(
+            text, json.dumps(doc, indent=2, sort_keys=True) + "\n") is None
 
 
 class TestCommands:
