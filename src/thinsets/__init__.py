@@ -11,10 +11,10 @@ from .digit import (DigitSpec, dimension_zero_diagnostic, member_K,
                     verify_triple_sumset)
 from .dimension import (GaugeParams, box_estimate, covering_number,
                         dimension_report, hs_cover_cost, packing_number,
-                        packing_vs_covering_check, product_bound)
+                        product_bound)
 from .dyadic import SparseDyadic
 from .falconer import (LatticeInterval, TreePath, TripleSumFamily,
-                       binary_tree_point, dichotomy_probe, enumerate_window,
+                       binary_tree_point, dichotomy_probe,
                        localization_check, localization_ratio_exponents,
                        member_depth, rapid_sequence, select_triple_indices,
                        verify_triple_sum)
@@ -29,11 +29,10 @@ __all__ = [
     "DigitSpec", "dimension_zero_diagnostic", "member_K",
     "separation_check", "subset_sums", "tau_bound", "verify_triple_sumset",
     "GaugeParams", "box_estimate", "covering_number", "dimension_report",
-    "hs_cover_cost", "packing_number", "packing_vs_covering_check",
-    "product_bound",
+    "hs_cover_cost", "packing_number", "product_bound",
     "SparseDyadic",
     "LatticeInterval", "TreePath", "TripleSumFamily", "binary_tree_point",
-    "dichotomy_probe", "enumerate_window", "localization_check",
+    "dichotomy_probe", "localization_check",
     "localization_ratio_exponents", "member_depth", "rapid_sequence",
     "select_triple_indices", "verify_triple_sum",
     "CantorTree", "RationalForm", "build_independent_tree",

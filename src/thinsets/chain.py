@@ -8,9 +8,11 @@ in the package stays exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyadic import SparseDyadic
 from .errors import (DepthTooLarge, LevelOutOfRange, MonotonicityViolation,
                      NonIntegerRadiusExponent)
 from .rounding import ceil_div, rigorous_ceil_div_ln2
@@ -23,6 +25,7 @@ LOG_CONVENTIONS = ("natural", "base2")
 # renders as_int() in decimal, and Python refuses int-to-str conversion
 # above 4300 digits, about 2**14284.
 _MATERIALIZE_LIMIT = 4096
+_HASH_P = sys.hash_info.modulus
 
 
 def le_pow2(c, k):
@@ -55,29 +58,24 @@ class ExactCount:
         return self.mult * (1 << self.exp) + self.add if self.mult else self.add
 
     def _cmp(self, other):
+        """Exact sign of self - other: the sign of (self - other) * 2**-k,
+        a three-term sparse dyadic, for k = max(both exponents, 0)."""
         if isinstance(other, int):
             other = ExactCount(0, 0, other)
         a, b = self, other
-        if a.is_materializable() and b.is_materializable():
-            x, y = a.as_int(), b.as_int()
-            return (x > y) - (x < y)
-        if a.mult == 0 or (b.mult and b.exp > a.exp + 64):
-            return -1  # the symbolic side dominates
-        if b.mult == 0 or (a.mult and a.exp > b.exp + 64):
-            return 1
-        # both symbolic, exponents within 64 of each other
-        hi, lo = (a, b) if a.exp >= b.exp else (b, a)
-        t = hi.mult * (1 << (hi.exp - lo.exp)) - lo.mult
-        diff = (a.add - b.add) if a is hi else (b.add - a.add)
-        if t == 0:
-            s = (diff > 0) - (diff < 0)
-        else:
-            # t * 2**lo.exp dominates the small additive difference
-            s = 1 if t > 0 else -1
-        return s if a is hi else -s
+        k = max(a.exp, b.exp, 0)
+        return SparseDyadic([(k - a.exp, a.mult), (k - b.exp, -b.mult),
+                             (k, a.add - b.add)]).sign()
 
     def __eq__(self, other):
         return self._cmp(other) == 0
+
+    def __hash__(self):
+        """The hash of the int (or Fraction) of the same value."""
+        s = self._cmp(0)
+        h = s * (s * (self.mult * pow(2, self.exp, _HASH_P) + self.add)
+                 % _HASH_P)
+        return -2 if h == -1 else h
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -135,13 +133,6 @@ class ScaleChain:
             "rho": [str(v) for v in self.rho],
             "log_convention": self.log_convention,
         }
-
-    @classmethod
-    def from_json(cls, doc):
-        phi = [Fraction(p) for p in doc["phi"]]
-        return build_custom_chain(doc["M"], phi, doc["depth"],
-                                  log_convention=doc.get("log_convention",
-                                                         "natural"))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import falconer as fal_mod
 from . import independent as ind_mod
 from .dyadic import SparseDyadic
 from .errors import CapExceeded, ConfigError, ThinsetError
+from .rounding import MAX_PREC
 
 SCHEMA = "thinset-report/1"
 
@@ -210,8 +211,9 @@ def run(command, config_doc, out_dir=".", prec=128, cap=100000,
     raw = json.dumps(config_doc, sort_keys=True).encode()
     opts = {"prec": prec, "cap": cap, "log_convention": log_convention}
     try:
-        if prec < 1:
-            raise ConfigError(f"precision must be at least 1 bit, not {prec}")
+        if not 1 <= prec <= MAX_PREC:
+            raise ConfigError(f"precision must be 1 to {MAX_PREC} bits, "
+                              f"not {prec}")
         if log_convention not in chain_mod.LOG_CONVENTIONS:
             raise ConfigError(f"log_convention must be one of "
                               f"{', '.join(chain_mod.LOG_CONVENTIONS)}, "

@@ -8,7 +8,8 @@ Membership reads the canonical binary form of x.  A sum whose
 coefficients are all 1 is a sum of distinct powers 2**-f, which is
 non-negative and already canonical, so it is decided by looking its
 exponents up in the table with no sign test and no carry walk.  Every
-other value goes through the exact sign test and the carry walk.
+other value goes through the exact sign test and the carry walk, whose
+length is bounded by its term count and N_max, not by its exponents.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import SparseDyadic
-from .errors import (CarryBudgetExceeded, GrowthPropertyMissing,
-                     PartitionOverlap, UniverseExceeded)
+from .errors import (GrowthPropertyMissing, PartitionOverlap,
+                     UniverseExceeded)
 from .rounding import DEFAULT_PREC, bracket_to_decimal
 from . import dimension
 
 _GROWTH_RE = re.compile(r"^g\(n\+1\)\s*>=\s*g\(n\)\s*\+\s*(\d+)$")
-_CANON_STEPS = 100000
 
 
 @dataclass(frozen=True)
@@ -155,37 +155,37 @@ def _canonical_digits(x, digit_limit):
 
     Returns None when the expansion needs more than digit_limit digits
     or x >= 2 (either way x cannot be a digit-set sum).  Carries
-    propagate sparsely, so tower-scale exponents never force a full
-    expansion; a walk longer than _CANON_STEPS raises CarryBudgetExceeded.
+    propagate sparsely: an odd coefficient leaves its digit and carries
+    one bit up, an even one moves past all its trailing zeros at once
+    (never below exponent -1).  Each step pops one entry and pushes at
+    most one, an even step leaves an odd coefficient unless it merges,
+    and every odd step emits a digit, so the walk ends within about
+    2 * (terms + digit_limit + 1) steps, whatever the exponents.
     """
     coeffs = dict(x.terms)
     heap = [-f for f in coeffs]
     heapq.heapify(heap)
     out = []
-    steps = 0
     while heap:
-        steps += 1
-        if steps > _CANON_STEPS:
-            raise CarryBudgetExceeded(
-                f"carry walk exceeded the step budget {_CANON_STEPS}")
         f = -heapq.heappop(heap)
         c = coeffs.pop(f, 0)
         if c == 0:
             continue
         if f < 0:
             return None  # magnitude escaped [0, 1]; not a digit sum
-        digit = c & 1
-        carry = (c - digit) >> 1
-        if digit:
+        if c & 1:
             out.append(f)
             if len(out) > digit_limit:
                 return None
-        if carry:
-            if f - 1 in coeffs:
-                coeffs[f - 1] += carry
+        # odd: one bit up; even: past all trailing zeros, but at least one
+        t = max(min((c & -c).bit_length() - 1, f), 1)
+        c >>= t
+        if c:
+            if f - t in coeffs:
+                coeffs[f - t] += c
             else:
-                coeffs[f - 1] = carry
-                heapq.heappush(heap, -(f - 1))
+                coeffs[f - t] = c
+                heapq.heappush(heap, t - f)
     return sorted(out)
 
 

@@ -44,11 +44,6 @@ class GaugeParams:
             raise ValueError("constant C must be positive")
 
 
-def intervals_from_lattice(chain, lattice_intervals):
-    """(lo, hi) Fraction pairs for LatticeInterval records."""
-    return [j.bounds(chain) for j in lattice_intervals]
-
-
 def _pow2(k):
     """Exact 2**k: an int for k >= 0, else a Fraction."""
     check_exponent(k)
@@ -118,22 +113,6 @@ def packing_number(intervals, delta_exponent):
         else:
             nx, nk = cx, ck
     return count
-
-
-def packing_vs_covering_check(intervals, d_grid):
-    """P at scale 2**-d never exceeds N at scale 2**-(d-1); checked on
-    every grid exponent.  A failure indicates a counter bug."""
-    rows = []
-    ok = True
-    for d in d_grid:
-        if d < 1:
-            raise ValueError("grid exponents must be >= 1")
-        p = packing_number(intervals, d)
-        n = covering_number(intervals, d - 1)
-        rows.append({"d": d, "packing": p, "covering_coarser": n,
-                     "ok": p <= n})
-        ok = ok and p <= n
-    return {"ok": ok, "rows": rows}
 
 
 def _product_lhs(chain, n):

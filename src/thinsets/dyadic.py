@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .errors import (InvariantViolation, OutOfUnitInterval, TermCapExceeded,
                      check_exponent)
-from .rounding import round_decimal
 
 DEFAULT_TERM_CAP = 4096
 
@@ -49,29 +48,6 @@ class SparseDyadic:
     def power(cls, f, coeff=1):
         """coeff * 2**-f."""
         return cls([(f, coeff)])
-
-    @classmethod
-    def from_fraction(cls, value):
-        """Exact conversion of a dyadic rational in canonical form."""
-        value = Fraction(value)
-        den = value.denominator
-        f = den.bit_length() - 1
-        if den != 1 << f:
-            raise ValueError(f"{value} is not dyadic")
-        sign = 1 if value.numerator >= 0 else -1
-        mag = abs(value.numerator)
-        terms = []
-        k = 0
-        while mag:
-            if mag & 1:
-                e = f - k
-                if e < 0:
-                    terms.append((0, sign << (-e)))
-                else:
-                    terms.append((e, sign))
-            mag >>= 1
-            k += 1
-        return cls(terms)
 
     # --- accessors ---
 
@@ -111,17 +87,6 @@ class SparseDyadic:
 
     def __sub__(self, other):
         return self.sub(other)
-
-    def scale_pow2(self, k):
-        """Multiply by 2**k (k may be negative; exponents stay >= 0)."""
-        out = []
-        for f, c in self._terms:
-            e = f - k
-            if e < 0:
-                out.append((0, c << (-e)))
-            else:
-                out.append((e, c))
-        return SparseDyadic(out)
 
     # --- sign and comparison ---
 
@@ -220,33 +185,7 @@ class SparseDyadic:
         comp = SparseDyadic.power(e).sub(frac)          # 2**-e - frac
         return frac if frac.compare(comp) <= 0 else comp
 
-    # --- rendering and serialization ---
-
-    def approx_decimal(self, digits):
-        """Decimal approximation with a one-ulp error statement.
-
-        Terms whose exponents are below representable precision are
-        annotated as explicit powers instead of expanded.
-        """
-        if digits < 1:
-            raise ValueError("digits must be positive")
-        if not self._terms:
-            return "0"
-        f_limit = 4 * digits + 64
-        small = Fraction(0)
-        notes = []
-        for f, c in self._terms:
-            if f <= f_limit:
-                small += Fraction(c, 1 << f)
-            else:
-                sgn = "+" if c > 0 else "-"
-                mag = abs(c)
-                coeff = "" if mag == 1 else f"{mag}*"
-                notes.append(f"{sgn}{coeff}2^-{f}")
-        body = round_decimal(small, digits)
-        if notes:
-            body += " (" + " ".join(notes) + ")"
-        return body
+    # --- serialization ---
 
     def to_json(self):
         return {"terms": [[str(f), str(c)] for f, c in self._terms]}

@@ -146,12 +146,6 @@ class UniverseExceeded(ThinsetError):
     exit_code = 2
 
 
-class CarryBudgetExceeded(ThinsetError):
-    """A canonical-digit carry walk ran past its step budget."""
-
-    exit_code = 2
-
-
 class PartitionOverlap(ThinsetError):
     exit_code = 2
 

@@ -9,8 +9,8 @@ exponent comparisons.
 
 A level-n survivor is named by its center numerator m alone (center
 m * 2**-e_n, radius 2**-rho_n).  survivor_numerators hands those ints
-to the window report and the dimension table; enumerate_window wraps
-them in LatticeInterval records for callers that want objects.
+to the window report and the dimension table; only the tree path is
+built from LatticeInterval records.
 """
 
 from __future__ import annotations
@@ -35,19 +35,6 @@ class LatticeInterval:
     level: int
     center_numerator: int
     radius_exponent: int
-
-    def center(self, chain):
-        return Fraction(self.center_numerator,
-                        1 << check_exponent(chain.e[self.level - 1]))
-
-    def bounds(self, chain):
-        """Clipped endpoints as Fractions."""
-        e = chain.e[self.level - 1]
-        u = check_exponent(max(e, self.radius_exponent))
-        c = self.center_numerator << (u - e)
-        r = 1 << (u - self.radius_exponent)
-        lo, hi = max(0, c - r), min(1 << u, c + r)
-        return Fraction(lo, 1 << u), Fraction(hi, 1 << u)
 
     def to_json(self):
         return {"level": self.level,
@@ -377,13 +364,6 @@ def survivor_numerators(chain, n, window, cap):
     """Center numerators m of the surviving level-n intervals meeting the
     window (center m * 2**-e_n, radius 2**-rho_n), in increasing order."""
     return sorted(_refine(chain, n, window, cap)[0])
-
-
-def enumerate_window(chain, n, window, cap):
-    """Surviving level-n intervals meeting the window, as LatticeInterval
-    records ordered by center."""
-    return [LatticeInterval(n, m, chain.rho[n - 1])
-            for m in survivor_numerators(chain, n, window, cap)]
 
 
 def localization_check(chain, i, g_numerator, n, cap=100000):

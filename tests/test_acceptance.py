@@ -11,16 +11,15 @@ from thinsets.chain import (ExactCount, branching_count,
                             branching_lower_bound, build_custom_chain,
                             build_explicit_chain, classify_regime)
 from thinsets.dimension import (GaugeParams, covering_number, hs_cover_cost,
-                                intervals_from_lattice, packing_number,
-                                packing_vs_covering_check, product_bound)
+                                packing_number, product_bound)
 from thinsets.digit import (DigitSpec, dimension_zero_diagnostic,
                             separation_check, verify_triple_sumset)
 from thinsets.dyadic import SparseDyadic
 from thinsets.falconer import (binary_tree_point, dichotomy_probe,
-                               enumerate_window, localization_check,
+                               localization_check,
                                localization_ratio_exponents, member_depth,
                                rapid_sequence, select_triple_indices,
-                               verify_triple_sum)
+                               survivor_numerators, verify_triple_sum)
 from thinsets.independent import (build_independent_tree, enumerate_forms,
                                   quadruple_scan, relation_scan)
 
@@ -96,7 +95,8 @@ def test_dichotomy():
     assert probe["non_increasing"]
     tail = probe["counts"][probe["stable_from"] - 1:]
     assert len(set(tail)) == 1
-    counts = [len(enumerate_window(DESK, n, FULL, 10000)) for n in (1, 2, 3)]
+    counts = [len(survivor_numerators(DESK, n, FULL, 10000))
+              for n in (1, 2, 3)]
     assert counts[0] < counts[1] < counts[2]
     assert time.monotonic() - t0 < 5.0
 
@@ -126,13 +126,15 @@ def test_uncountability_skeleton():
         assert len(path.intervals) == 5
         prev = None
         for iv in path.intervals:
-            lo, hi = iv.bounds(deep)
+            lo, hi = dim_helpers.clipped(deep, iv.level,
+                                         iv.center_numerator)
             if prev is not None:
                 assert prev[0] <= lo and hi <= prev[1]
             prev = (lo, hi)
         leaf = path.intervals[-1]
         assert member_depth(deep, path.representative, leaf.level).member
-        deepest.append(leaf.bounds(deep))
+        deepest.append(dim_helpers.clipped(deep, leaf.level,
+                                           leaf.center_numerator))
     assert len(deepest) == 16
     for (a1, b1), (a2, b2) in itertools.combinations(deepest, 2):
         assert b1 < a2 or b2 < a1
@@ -159,7 +161,7 @@ def test_dimension_mechanics():
     fams += [dim_helpers.desk_intervals(n) for n in (1, 2, 3)]
     for fam in fams:
         grid = sorted({rng.randrange(1, 25) for _ in range(4)})
-        assert packing_vs_covering_check(fam, grid)["ok"]
+        assert dim_helpers.packing_vs_covering_check(fam, grid)["ok"]
     checked = 0
     while checked < 30:
         fam = dim_helpers.random_family(rng)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from thinsets.chain import (ExactCount, ScaleChain, branching_count,
+from thinsets.chain import (ExactCount, branching_count,
                             branching_lower_bound, build_custom_chain,
                             build_explicit_chain, classify_regime)
 from thinsets.errors import (DepthTooLarge, LevelOutOfRange,
@@ -61,7 +61,8 @@ class TestBuildCustom:
     def test_json_roundtrip(self):
         doc = DESK.to_json()
         assert doc["e"] == ["1", "3", "12", "60", "360"]
-        assert ScaleChain.from_json(doc) == DESK
+        assert build_custom_chain(doc["M"], doc["phi"], doc["depth"],
+                                  doc["log_convention"]) == DESK
 
 
 class TestExplicitChain:
@@ -113,6 +114,30 @@ class TestExactCount:
         b = ExactCount(4, 10 ** 9 - 1, 0)
         assert a == b
         assert ExactCount(2, 10 ** 9, 1) > b
+
+    def test_comparison_is_exact_at_any_gap(self):
+        # the additive part can outweigh the power part at any exponent
+        assert not ExactCount(-1, 5000, 0) > 0
+        assert ExactCount(-1, 5000, 0) < 0
+        assert ExactCount(1, 5000, -2 ** 5001) < ExactCount(1, 4999, 0)
+        assert ExactCount(1, 10 ** 9, -1) > ExactCount(1, 10 ** 9 - 100, 0)
+        assert ExactCount(0, 10 ** 9, 7) == 7
+
+    def test_hash_by_value(self):
+        assert hash(ExactCount(0, 0, 5)) == hash(5)
+        assert hash(ExactCount(2, 10 ** 9, 0)) == \
+            hash(ExactCount(4, 10 ** 9 - 1, 0))
+        assert len({ExactCount(2, 4, 1), 33, ExactCount(1, 5, 1)}) == 1
+        rng = random.Random(59)
+        for _ in range(2000):
+            mult = rng.randrange(-50, 51)
+            exp = rng.randrange(-40, 200)
+            add = rng.randrange(-2 ** 210, 2 ** 210)
+            value = mult * Fraction(2) ** exp + add
+            assert hash(ExactCount(mult, exp, add)) == hash(value)
+            other = ExactCount(0, 0, rng.choice([0, 1, -1, add]))
+            assert (ExactCount(mult, exp, add) < other) == \
+                (value < other.add)
 
 
 class TestBranchingCounts:

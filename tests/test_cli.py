@@ -10,7 +10,7 @@ import pytest
 from thinsets import __version__, errors
 from thinsets.chain import build_custom_chain
 from thinsets.cli import main, run
-from thinsets.falconer import enumerate_window
+from thinsets.falconer import LatticeInterval, survivor_numerators
 
 DESK_CHAIN = {"kind": "falconer", "M": [3, 4, 5, 6],
               "phi": [1, 2, 3, 4], "depth": 5}
@@ -153,6 +153,16 @@ class TestExitCodes:
         assert code == 2
         assert load(path)["error"].startswith("ConfigError: precision")
 
+    @pytest.mark.parametrize("prec", [16385, 100000])
+    def test_precision_above_the_bracket_limit_is_refused(self, tmp_path,
+                                                          prec):
+        # no bracket is built: the limit itself is the config error
+        code, path = run("dim", {"chain": DESK_CHAIN, "n_range": [2]},
+                         out_dir=str(tmp_path), prec=prec)
+        assert code == 2
+        assert load(path)["error"] == \
+            f"ConfigError: precision must be 1 to 16384 bits, not {prec}"
+
     @pytest.mark.parametrize("chain", [
         DESK_CHAIN, {"kind": "explicit", "depth": 1}])
     def test_unknown_log_convention_is_refused(self, tmp_path, chain):
@@ -167,20 +177,6 @@ class TestExitCodes:
                          out_dir=str(tmp_path))
         assert code == 2
         assert load(path)["error"].startswith("GrowthPropertyMissing")
-
-    def test_carry_budget_is_refused(self, tmp_path, monkeypatch):
-        # running out of carry steps is not a failed verification
-        from thinsets import digit
-        from thinsets.errors import CarryBudgetExceeded
-
-        def over_budget(spec, index_cap):
-            raise CarryBudgetExceeded("step budget 100000")
-        monkeypatch.setattr(digit, "verify_triple_sumset", over_budget)
-        code, path = run("cantor-digit", {"spec": DIGIT_SPEC},
-                         out_dir=str(tmp_path))
-        assert code == 2
-        assert load(path)["error"] == \
-            "CarryBudgetExceeded: step budget 100000"
 
     def test_every_error_class_declares_its_exit_code(self):
         classes, pending = [], [errors.ThinsetError]
@@ -261,6 +257,16 @@ def test_class_functions_belong_to_their_module():
                         f"{cls.__name__}.{attr} comes from {fn.__module__}"
 
 
+def test_export_list_resolves():
+    # a name deleted from a module must not linger in __all__
+    import thinsets
+    for name in thinsets.__all__:
+        assert hasattr(thinsets, name), name
+    namespace = {}
+    exec("from thinsets import *", namespace)
+    assert set(thinsets.__all__) <= set(namespace)
+
+
 class TestWindowReport:
     """Window records come from a template; the report must still be
     exactly json.dumps of the LatticeInterval records."""
@@ -278,8 +284,9 @@ class TestWindowReport:
         with open(path) as fh:
             text = fh.read()
         built = build_custom_chain(chain["M"], chain["phi"], chain["depth"])
-        records = [iv.to_json() for iv in enumerate_window(
-            built, n, tuple(map(Fraction, window)), 100000)]
+        records = [LatticeInterval(n, m, built.rho[n - 1]).to_json()
+                   for m in survivor_numerators(
+                       built, n, tuple(map(Fraction, window)), 100000)]
         assert code == 0
         assert len(records) == count
         expected = dict(json.loads(text), intervals=records)

@@ -9,8 +9,8 @@ from thinsets.digit import (DigitSpec, beyond_table_bound_exponent,
                             separation_check, subset_sums, tau_bound,
                             verify_triple_sumset)
 from thinsets.dyadic import SparseDyadic
-from thinsets.errors import (CarryBudgetExceeded, GrowthPropertyMissing,
-                             PartitionOverlap, UniverseExceeded)
+from thinsets.errors import (GrowthPropertyMissing, PartitionOverlap,
+                             UniverseExceeded)
 
 STEP2 = "g(n+1)>=g(n)+2"
 
@@ -145,18 +145,26 @@ class TestMembership:
             member_K(pow2_spec(4), SparseDyadic([(2, -1)]))
 
     def test_carry_budget_is_not_a_verdict(self):
-        # a_16 = 2**-65536 written at the finest exponent needs a
-        # 196608-step carry walk: over budget, so no verdict is given
+        # a_16 = 2**-65536 written at the finest exponent as a
+        # 196608-bit coefficient: the walk moves it past all its
+        # trailing zeros in one step and gives the verdict
         spec = DigitSpec(g=tuple(2 ** k for k in range(1, 19)), N_max=18)
         top = spec.g_exponent(18)
         assert member_K(spec, SparseDyadic.power(65536)) == \
             {"member": True, "digits": [16]}
-        with pytest.raises(CarryBudgetExceeded, match="100000"):
-            member_K(spec, SparseDyadic([(top, 1 << (top - 65536))]))
+        assert member_K(spec, SparseDyadic([(top, 1 << (top - 65536))])) \
+            == {"member": True, "digits": [16]}
+        # even coefficients that meet finer carries, and one that lands
+        # at exponent 0
+        x = SparseDyadic([(top, (1 << (top - 4)) + (1 << (top - 9))),
+                          (9, 1), (17, 2)])
+        assert member_K(spec, x) == {"member": True, "digits": [2, 3, 4]}
+        assert member_K(spec, SparseDyadic([(top, 1 << top)])) == \
+            {"member": False, "digits": None}
 
     def test_digit_limit_ends_the_walk(self):
         # 2 - 2**-top has top + 1 binary digits; the walk stops after
-        # N_max + 1 of them instead of running into the step budget
+        # N_max + 1 of them
         spec = DigitSpec(g=tuple(2 ** k for k in range(1, 18)), N_max=17)
         top = spec.g_exponent(17)
         x = SparseDyadic([(top, (1 << (top + 1)) - 1)])

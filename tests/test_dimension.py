@@ -9,17 +9,42 @@ from thinsets import dimension
 from thinsets.chain import build_custom_chain, build_explicit_chain
 from thinsets.dimension import (GaugeParams, box_estimate, covering_number,
                                 dimension_report, hs_cover_cost,
-                                intervals_from_lattice, packing_number,
-                                packing_vs_covering_check, product_bound,
-                                report_to_csv)
-from thinsets.falconer import enumerate_window
+                                packing_number, product_bound, report_to_csv)
+from thinsets.falconer import survivor_numerators
 
 DESK = build_custom_chain([3, 4, 5, 6], [1, 2, 3, 4], 5)
 FULL = (Fraction(0), Fraction(1))
 
 
+def clipped(chain, level, m):
+    """[m * 2**-e - r, m * 2**-e + r] n [0, 1] for the level's radius r,
+    clipped in integer units of 2**-u as dimension_report clips it."""
+    e, rho = chain.e[level - 1], chain.rho[level - 1]
+    u = max(e, rho)
+    c, r = m << (u - e), 1 << (u - rho)
+    return (Fraction(max(0, c - r), 1 << u),
+            Fraction(min(1 << u, c + r), 1 << u))
+
+
 def desk_intervals(n, cap=10000):
-    return intervals_from_lattice(DESK, enumerate_window(DESK, n, FULL, cap))
+    return [clipped(DESK, n, m)
+            for m in survivor_numerators(DESK, n, FULL, cap)]
+
+
+def packing_vs_covering_check(intervals, d_grid):
+    """P at scale 2**-d never exceeds N at scale 2**-(d-1); checked on
+    every grid exponent.  A failure indicates a counter bug."""
+    rows = []
+    ok = True
+    for d in d_grid:
+        if d < 1:
+            raise ValueError("grid exponents must be >= 1")
+        p = dimension.packing_number(intervals, d)
+        n = dimension.covering_number(intervals, d - 1)
+        rows.append({"d": d, "packing": p, "covering_coarser": n,
+                     "ok": p <= n})
+        ok = ok and p <= n
+    return {"ok": ok, "rows": rows}
 
 
 def random_family(rng, max_count=12, max_exp=32):

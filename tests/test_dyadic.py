@@ -37,18 +37,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseDyadic([(-1, 1)])
 
-    def test_from_fraction(self):
-        x = SparseDyadic.from_fraction(Fraction(11, 16))
-        assert to_frac(x) == Fraction(11, 16)
-        assert all(c == 1 for _, c in x.terms)
-        y = SparseDyadic.from_fraction(Fraction(-5, 8))
-        assert to_frac(y) == Fraction(-5, 8)
-        assert to_frac(SparseDyadic.from_fraction(3)) == 3
-
-    def test_from_fraction_rejects_non_dyadic(self):
-        with pytest.raises(ValueError):
-            SparseDyadic.from_fraction(Fraction(1, 3))
-
     def test_term_cap(self):
         with pytest.raises(TermCapExceeded):
             SparseDyadic([(f, 1) for f in range(100)], term_cap=10)
@@ -61,11 +49,6 @@ class TestArithmetic:
             x, y = rand_value(rng), rand_value(rng)
             assert to_frac(x.add(y)) == to_frac(x) + to_frac(y)
             assert to_frac(x.sub(y)) == to_frac(x) - to_frac(y)
-
-    def test_scale_pow2(self):
-        x = SparseDyadic([(3, 1), (10, -5)])
-        assert to_frac(x.scale_pow2(2)) == to_frac(x) * 4
-        assert to_frac(x.scale_pow2(-4)) == to_frac(x) / 16
 
     def test_tower_exponents_stay_symbolic(self):
         huge = 1 << 40
@@ -154,16 +137,6 @@ class TestDistToLattice:
 
 
 class TestRendering:
-    def test_approx_decimal(self):
-        x = SparseDyadic([(3, 1), (12, 1)])
-        assert x.approx_decimal(6) == "0.125244"
-        y = SparseDyadic([(1 << 40, 1)])
-        assert y.approx_decimal(6) == "0.000000 (+2^-1099511627776)"
-        assert SparseDyadic.zero().approx_decimal(4) == "0"
-        assert SparseDyadic([(3, -1)]).approx_decimal(2) == "-0.13"
-        assert SparseDyadic([(3, -1), (200, 1)]).approx_decimal(2) == \
-            "-0.13 (+2^-200)"
-
     def test_json_roundtrip(self):
         x = SparseDyadic([(3, 1), (1 << 40, -7)])
         assert SparseDyadic.from_json(x.to_json()) == x

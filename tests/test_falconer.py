@@ -14,10 +14,12 @@ from thinsets.errors import (CapExceeded, ChainTooShallow, ConditionFailure,
                              PreconditionFailure, RegimeViolation,
                              ThinsetError)
 from thinsets.falconer import (binary_tree_point, dichotomy_probe,
-                               enumerate_window, localization_check,
+                               localization_check,
                                localization_ratio_exponents, member_depth,
                                rapid_sequence, select_triple_indices,
-                               verify_triple_sum)
+                               survivor_numerators, verify_triple_sum)
+
+from test_dimension import clipped
 
 DESK = build_custom_chain([3, 4, 5, 6], [1, 2, 3, 4], 5)
 COLLAPSE = build_custom_chain([3, 4, 5], [4, 5, 6], 4)
@@ -78,9 +80,8 @@ class TestMemberDepth:
     def test_survivor_centers_are_members(self):
         # membership coherence: every enumerated center passes member_depth
         for n in (1, 2, 3):
-            for iv in enumerate_window(DESK, n, FULL, 10000):
-                x = SparseDyadic([(DESK.e[n - 1], iv.center_numerator)]) \
-                    if iv.center_numerator else SparseDyadic.zero()
+            for m in survivor_numerators(DESK, n, FULL, 10000):
+                x = SparseDyadic([(DESK.e[n - 1], m)])
                 assert member_depth(DESK, x, n).member
 
 
@@ -163,7 +164,7 @@ class TestBinaryTree:
         path = binary_tree_point(DESK, "110")
         prev = None
         for iv in path.intervals:
-            lo, hi = iv.bounds(DESK)
+            lo, hi = clipped(DESK, iv.level, iv.center_numerator)
             if prev is not None:
                 assert prev[0] <= lo and hi <= prev[1]
             prev = (lo, hi)
@@ -188,9 +189,9 @@ class TestBinaryTree:
 
 class TestEnumerateWindow:
     def test_desk_counts(self):
-        assert len(enumerate_window(DESK, 1, FULL, 1000)) == 3
-        assert len(enumerate_window(DESK, 2, FULL, 1000)) == 9
-        assert len(enumerate_window(DESK, 3, FULL, 10000)) == 1033
+        assert len(survivor_numerators(DESK, 1, FULL, 1000)) == 3
+        assert len(survivor_numerators(DESK, 2, FULL, 1000)) == 9
+        assert len(survivor_numerators(DESK, 3, FULL, 10000)) == 1033
 
     def test_matches_brute_oracle(self):
         small = build_custom_chain([2, 3], [1, 2], 3)
@@ -198,27 +199,28 @@ class TestEnumerateWindow:
                    (Fraction(0), Fraction(1, 4))]
         for n in (1, 2):
             for w in windows:
-                got = [Fraction(iv.center_numerator, 1 << small.e[n - 1])
-                       for iv in enumerate_window(small, n, w, 10000)]
+                got = [Fraction(m, 1 << small.e[n - 1])
+                       for m in survivor_numerators(small, n, w, 10000)]
                 assert got == brute_window_centers(small, n, w)
 
     def test_matches_brute_oracle_desk_l2(self):
-        got = [Fraction(iv.center_numerator, 8)
-               for iv in enumerate_window(DESK, 2, FULL, 10000)]
+        got = [Fraction(m, 8)
+               for m in survivor_numerators(DESK, 2, FULL, 10000)]
         assert got == brute_window_centers(DESK, 2, FULL)
 
     def test_cap(self):
         with pytest.raises(CapExceeded) as ex:
-            enumerate_window(DESK, 3, FULL, 100)
+            survivor_numerators(DESK, 3, FULL, 100)
         assert ex.value.level == 3
 
     def test_work_budget_blowup(self):
         with pytest.raises(CapExceeded):
-            enumerate_window(DESK, 4, FULL, 100000)
+            survivor_numerators(DESK, 4, FULL, 100000)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            enumerate_window(DESK, 1, (Fraction(1, 2), Fraction(1, 2)), 10)
+            survivor_numerators(DESK, 1, (Fraction(1, 2), Fraction(1, 2)),
+                                10)
 
 
 class TestLocalization:
@@ -272,7 +274,7 @@ class TestDichotomy:
         assert len(calls) == 1
 
     def test_branching_counts_increase(self):
-        counts = [len(enumerate_window(DESK, n, FULL, 10000))
+        counts = [len(survivor_numerators(DESK, n, FULL, 10000))
                   for n in (1, 2, 3)]
         assert counts[0] < counts[1] < counts[2]
 
@@ -285,6 +287,6 @@ class TestRandomizedChains:
             chain = build_custom_chain([m1, m1 + rng.randrange(1, 3)],
                                        [1, 2], 3)
             for n in (1, 2):
-                got = [Fraction(iv.center_numerator, 1 << chain.e[n - 1])
-                       for iv in enumerate_window(chain, n, FULL, 100000)]
+                got = [Fraction(m, 1 << chain.e[n - 1])
+                       for m in survivor_numerators(chain, n, FULL, 100000)]
                 assert got == brute_window_centers(chain, n, FULL)

@@ -17,8 +17,8 @@ from thinsets.chain import build_custom_chain, classify_regime
 from thinsets.dimension import (covering_number, dimension_report,
                                 packing_number)
 from thinsets.errors import CapExceeded
-from thinsets.falconer import (_refine, enumerate_window,
-                               localization_check)
+from thinsets.falconer import (_refine, localization_check,
+                               survivor_numerators)
 
 FULL = (Fraction(0), Fraction(1))
 CAP = 3000
@@ -247,9 +247,9 @@ def test_refine_matches_reference(chain):
 
             assert outcome(got) == want, (window, n, cap)
             if want[0] != "CapExceeded":
-                centers = [Fraction(iv.center_numerator,
-                                    1 << chain.e[n - 1])
-                           for iv in enumerate_window(chain, n, window, cap)]
+                centers = [Fraction(m, 1 << chain.e[n - 1])
+                           for m in survivor_numerators(chain, n, window,
+                                                        cap)]
                 assert centers == sorted(h for h, _ in want[0])
 
 
