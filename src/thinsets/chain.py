@@ -8,6 +8,7 @@ in the package stays exact.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,14 @@ def le_pow2(c, k):
     return False
 
 
+def _sign_test(test):
+    """A rich comparison that applies test to self._cmp(other) and 0."""
+    def compare(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else test(s, 0)
+    return compare
+
+
 @dataclass(frozen=True)
 class ExactCount:
     """A count of the form mult * 2**exp + add, kept symbolic when the
@@ -58,17 +67,20 @@ class ExactCount:
         return self.mult * (1 << self.exp) + self.add if self.mult else self.add
 
     def _cmp(self, other):
-        """Exact sign of self - other: the sign of (self - other) * 2**-k,
-        a three-term sparse dyadic, for k = max(both exponents, 0)."""
-        if isinstance(other, int):
-            other = ExactCount(0, 0, other)
-        a, b = self, other
-        k = max(a.exp, b.exp, 0)
-        return SparseDyadic([(k - a.exp, a.mult), (k - b.exp, -b.mult),
-                             (k, a.add - b.add)]).sign()
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
+        """Exact sign of self - other, or NotImplemented for a type other
+        than ExactCount, int or Fraction.  A Fraction p/d scales both
+        sides by d: the sign of (d * self - p) * 2**-k, a three-term
+        sparse dyadic, for k = max(both exponents, 0)."""
+        if isinstance(other, ExactCount):
+            d, b = 1, other
+        elif isinstance(other, (int, Fraction)):
+            d, b = other.denominator, ExactCount(0, 0, other.numerator)
+        else:
+            return NotImplemented
+        k = max(self.exp, b.exp, 0)
+        return SparseDyadic([(k - self.exp, d * self.mult),
+                             (k - b.exp, -b.mult),
+                             (k, d * self.add - b.add)]).sign()
 
     def __hash__(self):
         """The hash of the int (or Fraction) of the same value."""
@@ -77,17 +89,11 @@ class ExactCount:
                  % _HASH_P)
         return -2 if h == -1 else h
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+    __eq__ = _sign_test(operator.eq)
+    __lt__ = _sign_test(operator.lt)
+    __le__ = _sign_test(operator.le)
+    __gt__ = _sign_test(operator.gt)
+    __ge__ = _sign_test(operator.ge)
 
     def __str__(self):
         if self.mult == 0:

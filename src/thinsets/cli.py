@@ -82,9 +82,13 @@ def _cmd_member(cfg, opts):
 
 def _cmd_triple(cfg, opts):
     chain = _load_chain(cfg["chain"], opts["log_convention"], opts["prec"])
+    K = int(cfg.get("K", 3))
+    records = K + K ** 3  # K singles and K**3 ordered triples
+    if records > opts["cap"]:
+        raise CapExceeded(f"{records} triple records exceed cap "
+                          f"{opts['cap']}")
     fam = fal_mod.select_triple_indices(chain, int(cfg.get("k_max", 3)))
-    rep = fal_mod.verify_triple_sum(chain, fam, int(cfg.get("K", 3)),
-                                    int(cfg["depth"]))
+    rep = fal_mod.verify_triple_sum(chain, fam, K, int(cfg["depth"]))
     return (0 if rep["all_pass"] else 1), {
         "family": fam.to_json(), "verification": rep}
 
@@ -163,9 +167,6 @@ def _cmd_cantor_digit(cfg, opts):
     index_cap = int(cfg.get("index_cap", spec.N_max))
     if index_cap < 1:
         raise ConfigError(f"index_cap must be at least 1, not {index_cap}")
-    sums = digit_mod.triple_sum_count(spec, index_cap)
-    if sums > opts["cap"]:
-        raise CapExceeded(f"{sums} triple sums exceed cap {opts['cap']}")
     triple = digit_mod.verify_triple_sumset(spec, index_cap)
     out = {"separation": sep, "triple_sumset": triple}
     if "s_grid" in cfg and "n_range" in cfg:

@@ -1,8 +1,17 @@
 """Digit Cantor sets: K = {sums of 2**-g(n) over digit sets}.
 
 The exponent schedule g replaces super-exponential decay constants with
-integers so separation, tail bounds, membership, and triple-sumset
-containment are all decided exactly in sparse dyadic arithmetic.
+integers so separation, tail bounds and membership are decided exactly
+in sparse dyadic arithmetic.
+
+Triple sumsets follow from a lemma.  If the three class index lists
+are pairwise disjoint and lie in 1..N_max, a sum x_1 + x_2 + x_3 with
+x_i a digit-subset sum over class i uses each tabulated a_n at most
+once, so it is a sum of distinct a_n over tabulated indices: a member
+of K by definition.  DigitSpec rejects overlapping explicit classes, so
+every spec it builds meets the premise and its 2**k sums (k indices up
+to index_cap) are counted, not built.  Lists that break the premise
+are enumerated and each sum is judged by member_K.
 
 Membership reads the canonical binary form of x.  A sum whose
 coefficients are all 1 is a sum of distinct powers 2**-f, which is
@@ -234,18 +243,22 @@ def subset_sums(spec, class_index, index_cap):
     return out
 
 
-def triple_sum_count(spec, index_cap):
-    """|S_1| * |S_2| * |S_3|, the number of sums verify_triple_sumset
-    enumerates: class i contributes 2**(its index count) subset sums."""
-    return 1 << sum(len(spec.class_indices(i, index_cap)) for i in (1, 2, 3))
-
-
 def verify_triple_sumset(spec, index_cap):
-    """Every sum from S_1 x S_2 x S_3 is a member of K, exhaustively.
+    """Every sum from S_1 x S_2 x S_3 is a member of K.
 
-    Index-disjointness of the three classes makes each triple sum a
-    digit sum over the disjoint union of the three digit sets.
+    When the class lists are pairwise disjoint and lie in 1..N_max, all
+    |S_1| |S_2| |S_3| sums pass by the lemma in the module docstring.
+    Otherwise (lists forced past DigitSpec's overlap check) every sum is
+    built and judged by member_K, and up to ten failures are kept.
     """
+    classes = [spec.class_indices(i, index_cap) for i in (1, 2, 3)]
+    flat = [n for c in classes for n in c]
+    if len(set(flat)) == len(flat) and \
+            all(1 <= n <= spec.N_max for n in flat):
+        sizes = [1 << len(c) for c in classes]
+        total = sizes[0] * sizes[1] * sizes[2]
+        return {"ok": True, "total": total, "passed": total,
+                "set_sizes": sizes, "failures": [], "growth": spec.growth}
     sets = [subset_sums(spec, i, index_cap) for i in (1, 2, 3)]
     total = 0
     passed = 0

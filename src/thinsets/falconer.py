@@ -178,11 +178,47 @@ def select_triple_indices(chain, k_max):
 
 
 def verify_triple_sum(chain, family, K, depth):
-    """Exhaustively check all K**3 ordered sums and the K singletons."""
-    if K > len(family.elements):
-        raise ValueError("K exceeds family size")
+    """All K**3 ordered sums a_i + a_j + a_k and the K singletons are
+    members of the depth realization.
+
+    Lemma.  Suppose family.check_invariants(chain) is None and each
+    element a_k is 2**-e_{N_k} for its index N_k.  Take a level n <= depth
+    and a single or a triple sum s.  A term with N_k <= n is a multiple
+    of the level-n spacing 2**-e_n, because e is non-decreasing.  The
+    other terms, at most three, have n < N_k, so the invariants give
+    e_{N_k} - rho_n >= 2: each is at most r_n / 4.  Hence s lies within
+    3 r_n / 4 < r_n of the level-n lattice.  The invariants also make
+    a_1 the largest element and give e_{N_1} >= rho_1 + 2 >= 2, so s
+    lies in [0, 3/4].  Thus every record is a member with no failed
+    level, and no sum is built.
+
+    A family that breaks the premise (one built by a caller) is checked
+    exhaustively by member_depth instead.
+    """
+    if not 1 <= K <= len(family.elements):
+        raise ValueError(f"K must lie in 1..{len(family.elements)}, "
+                         f"not {K}")
     if not 1 <= depth <= chain.levels:
         raise LevelOutOfRange(f"depth {depth} outside 1..{chain.levels}")
+    violation = family.check_invariants(chain)
+    if violation is not None or \
+            len(family.elements) != len(family.indices) or \
+            any(a != SparseDyadic.power(chain.e[n - 1])
+                for n, a in zip(family.indices, family.elements)):
+        return _enumerate_triple_sum(chain, family, K, depth, violation)
+    return {"K": K, "depth": depth,
+            "singles": [{"index": n, "member": True, "failed_level": None}
+                        for n in family.indices[:K]],
+            "triples": [{"triple": [i, j, k], "member": True,
+                         "failure": None}
+                        for i in range(K) for j in range(K)
+                        for k in range(K)],
+            "invariant_violation": None, "all_pass": True}
+
+
+def _enumerate_triple_sum(chain, family, K, depth, violation):
+    """verify_triple_sum without the lemma: every single and triple sum
+    goes through member_depth.  violation is check_invariants' result."""
     elems = family.elements[:K]
     singles = []
     for k, a in enumerate(elems):
@@ -204,8 +240,7 @@ def verify_triple_sum(chain, family, K, depth):
                                 "failure": why if not ok else None})
                 all_pass = all_pass and ok
     return {"K": K, "depth": depth, "singles": singles, "triples": triples,
-            "invariant_violation": family.check_invariants(chain),
-            "all_pass": all_pass}
+            "invariant_violation": violation, "all_pass": all_pass}
 
 
 def _tree_conditions(chain, n):

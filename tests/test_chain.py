@@ -139,6 +139,21 @@ class TestExactCount:
             assert (ExactCount(mult, exp, add) < other) == \
                 (value < other.add)
 
+    def test_compares_with_fractions_and_foreign_types(self):
+        assert ExactCount(0, 0, 5) == Fraction(5)
+        assert Fraction(5) == ExactCount(0, 0, 5)
+        assert ExactCount(1, -2, 0) == Fraction(1, 4)
+        assert ExactCount(3, -2, 2) > Fraction(7, 4)
+        assert ExactCount(1, 10 ** 9, 0) > Fraction(10 ** 30, 3)
+        assert not ExactCount(1, -3, 0) < Fraction(1, 8)
+        # foreign types: NotImplemented, so == is identity and < raises
+        assert ExactCount(0, 0, 5) != None  # noqa: E711
+        assert not ExactCount(0, 0, 5) == 5.0
+        with pytest.raises(TypeError):
+            ExactCount(0, 0, 5) < 5.0
+        with pytest.raises(TypeError):
+            ExactCount(0, 0, 5) >= "5"
+
 
 class TestBranchingCounts:
     def brute_count(self, chain, i, g_num):

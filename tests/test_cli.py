@@ -208,19 +208,61 @@ class TestExitCodes:
         assert code == 2
         assert load(path)["error"] == error
 
-    def test_triple_sum_budget_is_refused(self, tmp_path):
-        # 12 indices in three classes: 2**12 = 4096 triple sums
+    def test_triple_sums_are_not_capped(self, tmp_path):
+        # 12 indices in three classes: 2**12 = 4096 triple sums, counted
+        # by the disjoint-class lemma, so --cap does not bound them
         spec = {"g": list(range(2, 26, 2)), "N_max": 12,
                 "growth": "g(n+1)>=g(n)+2"}
+        for cap in (4095, 4096):
+            code, path = run("cantor-digit", {"spec": spec},
+                             out_dir=str(tmp_path), cap=cap)
+            assert code == 0
+            assert load(path)["triple_sumset"]["total"] == 4096
+
+    def test_two_to_the_forty_triple_sums(self, tmp_path):
+        # far past any enumeration: only the lemma can answer this
+        spec = {"g": list(range(2, 82, 2)), "N_max": 40,
+                "growth": "g(n+1)>=g(n)+2"}
         code, path = run("cantor-digit", {"spec": spec},
-                         out_dir=str(tmp_path), cap=4095)
+                         out_dir=str(tmp_path))
+        assert code == 0
+        rep = load(path)["triple_sumset"]
+        assert rep["total"] == rep["passed"] == 2 ** 40
+        assert rep["set_sizes"] == [2 ** 14, 2 ** 13, 2 ** 13]
+
+    @pytest.mark.parametrize("n_max, code, error", [
+        (4095, 0, None),
+        # a_1 minus the bounded tail then has 4097 terms
+        (4096, 2, "TermCapExceeded: 4097 terms exceeds cap 4096")])
+    def test_largest_digit_universe(self, tmp_path, n_max, code, error):
+        # the separation check bounds N_max, so total = 2**4095 (1233
+        # decimal digits) stays under the 4300-digit int-to-str limit
+        spec = {"g": list(range(2, 2 * n_max + 2, 2)), "N_max": n_max,
+                "growth": "g(n+1)>=g(n)+2"}
+        got, path = run("cantor-digit", {"spec": spec, "N": 1},
+                        out_dir=str(tmp_path))
+        doc = load(path)
+        assert (got, doc.get("error")) == (code, error)
+        if code == 0:
+            assert doc["triple_sumset"]["total"] == 2 ** n_max
+
+    def test_triple_records_are_capped(self, tmp_path):
+        # K singles and K**3 triples: 47 + 47**3 = 103870 records
+        chain = {"kind": "falconer", "M": [3, 4], "phi": [1, 2],
+                 "depth": 3}
+        code, path = run("triple", {"chain": chain, "K": 47, "k_max": 47,
+                                    "depth": 2}, out_dir=str(tmp_path))
         assert code == 2
         assert load(path)["error"] == \
-            "CapExceeded: 4096 triple sums exceed cap 4095"
-        code, path = run("cantor-digit", {"spec": spec},
-                         out_dir=str(tmp_path), cap=4096)
-        assert code == 0
-        assert load(path)["triple_sumset"]["total"] == 4096
+            "CapExceeded: 103870 triple records exceed cap 100000"
+
+    @pytest.mark.parametrize("K", [-1, 0, 4])
+    def test_triple_size_outside_family_is_refused(self, tmp_path, K):
+        code, path = run("triple", {"chain": DESK_CHAIN, "K": K,
+                                    "depth": 4}, out_dir=str(tmp_path))
+        assert code == 2
+        assert load(path)["error"] == \
+            f"ValueError: K must lie in 1..3, not {K}"
 
     def test_unknown_log_convention_without_chain_is_refused(self,
                                                              tmp_path):
