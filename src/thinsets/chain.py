@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import SparseDyadic
-from .errors import (DepthTooLarge, LevelOutOfRange, MonotonicityViolation,
-                     NonIntegerRadiusExponent)
+from .errors import (DepthTooLarge, ExponentTooLarge, LevelOutOfRange,
+                     MonotonicityViolation, NonIntegerRadiusExponent)
 from .rounding import ceil_div, rigorous_ceil_div_ln2
 
 DEFAULT_BIT_BUDGET = 1 << 20
@@ -63,7 +63,7 @@ class ExactCount:
 
     def as_int(self):
         if not self.is_materializable():
-            raise OverflowError(f"count 2**{self.exp} too large to expand")
+            raise ExponentTooLarge(f"count 2**{self.exp} too large to expand")
         return self.mult * (1 << self.exp) + self.add if self.mult else self.add
 
     def _cmp(self, other):

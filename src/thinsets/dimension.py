@@ -2,7 +2,9 @@
 
 Counts are exact, on any exact ordered numbers: Fractions at the API,
 integers in units of 2**-U inside dimension_report, which clips each
-survivor interval straight from its center numerator.  Every transcendental
+survivor interval straight from its center numerator.  A chain row with
+rho_n >= e_n + 4 builds no intervals: a separation certificate makes
+both counts its survivor count (see dimension_report).  Every transcendental
 quantity (ln 2, rational powers) is a certified bracket, and inequality
 verdicts are made only when a bracket separates the two sides.  The
 bracket of log q = log 2**d is built only in _log_q_bracket, under the
@@ -227,6 +229,15 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
     log convention, digit rows under the natural one.  Returns a list of
     row dicts plus fitted_C1, the smallest observed constant for the
     packing-mode product bound.
+
+    Separation certificate.  If rho_n >= e_n + 4, a chain row's covering
+    and packing numbers both equal its survivor count, and no interval
+    is built.  Then d = rho_n - 2, so delta = 4 r_n, and each clipped
+    survivor interval is at most 2 r_n long.  Neighbouring centers lie
+    2**-e_n >= 16 r_n apart, so the gaps exceed 8 r_n = 2 delta.  Hence
+    each interval needs its own cover and holds exactly one packing
+    center.  The condition is one exact integer comparison.  Other rows,
+    low levels with overlapping neighbourhoods, run the greedy counters.
     """
     params = params or GaugeParams(Fraction(1), Fraction(1), Fraction(1, 2))
     rows = []
@@ -243,11 +254,14 @@ def dimension_report(source, s_grid, n_range, params=None, cap=200000,
             u = max(rho, d)
             nums = survivor_numerators(source, n, (Fraction(0), Fraction(1)),
                                        cap)
-            shift, r, top = u - source.e[n - 1], 1 << (u - rho), 1 << u
-            ivs = [(max(0, c - r), min(top, c + r))
-                   for c in (m << shift for m in nums)]
-            cov = covering_number(ivs, d - u)
-            pack = packing_number(ivs, d - u)
+            if rho >= source.e[n - 1] + 4:
+                cov = pack = len(nums)  # separation certificate
+            else:
+                shift, r, top = u - source.e[n - 1], 1 << (u - rho), 1 << u
+                ivs = [(max(0, c - r), min(top, c + r))
+                       for c in (m << shift for m in nums)]
+                cov = covering_number(ivs, d - u)
+                pack = packing_number(ivs, d - u)
             try:
                 pv = product_bound(source, n, params, "packing2", prec)
                 verdict = pv["holds"]

@@ -10,7 +10,11 @@ exponent comparisons.
 A level-n survivor is named by its center numerator m alone (center
 m * 2**-e_n, radius 2**-rho_n).  survivor_numerators hands those ints
 to the window report and the dimension table; only the tree path is
-built from LatticeInterval records.
+built from LatticeInterval records.  Window enumeration keeps the
+feasible pieces of every level below n, which decide the next level's
+survivors, but builds none at level n itself unless a caller reads
+them: localization_check does, survivor_numerators and dichotomy_probe
+read only numerators and counts.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class TripleSumFamily:
         ns = self.indices
         if list(ns) != sorted(set(ns)) or (ns and ns[0] < 2):
             return "indices must be strictly increasing and start at >= 2"
+        if ns and ns[-1] > chain.depth:
+            return f"index {ns[-1]} exceeds the chain depth {chain.depth}"
         for k, big_n in enumerate(ns):
             need = 2 if k == 0 else 3  # 3a <= r vs 6a <= r, as exponent gaps
             for n in range(1, big_n):
@@ -318,7 +324,7 @@ def _interval_at(chain, level, x):
                            radius_exponent=chain.rho[level - 1])
 
 
-def _refine(chain, n, window, cap):
+def _refine(chain, n, window, cap, last_pieces=True):
     """Exact survivors of the depth-n realization meeting the window.
 
     Returns (nodes, den, counts): nodes maps the numerator m of each
@@ -326,6 +332,9 @@ def _refine(chain, n, window, cap):
     feasible sub-intervals witnessing a point that satisfies every
     ancestor constraint, as integer pairs in units of 1/den; counts[j-1]
     is the number of level-j survivors, 0 past a level that empties.
+    With last_pieces false, level n builds no sub-intervals and nodes
+    is the set of its numerators: a candidate m survives as soon as
+    some feasible level-(n-1) piece lies within r_n of m * 2**-e_n.
 
     The cap bounds distinct centers per level; candidate enumeration
     work is bounded by 8 * cap so a branching blow-up raises
@@ -349,7 +358,8 @@ def _refine(chain, n, window, cap):
         step = w << (u - ej)  # lattice spacing 2**-e_j
         r = w << (u - rho)    # radius 2**-rho_j
         top = 1 << ej
-        new_nodes = {}
+        keep = last_pieces or j < n
+        new_nodes = {} if keep else set()
         budget = 8 * cap
         for feas in nodes.values():
             for a, b in feas:
@@ -361,6 +371,9 @@ def _refine(chain, n, window, cap):
                     raise CapExceeded(
                         f"candidate enumeration at level {j} exceeds "
                         f"work budget 8*{cap}", level=j)
+                if not keep:
+                    new_nodes.update(range(m_lo, m_hi + 1))
+                    continue
                 # a <= h + r and h - r <= b for each m: no piece is empty
                 for m in range(m_lo, m_hi + 1):
                     h = m * step
@@ -398,7 +411,7 @@ def _add_piece(pieces, new):
 def survivor_numerators(chain, n, window, cap):
     """Center numerators m of the surviving level-n intervals meeting the
     window (center m * 2**-e_n, radius 2**-rho_n), in increasing order."""
-    return sorted(_refine(chain, n, window, cap)[0])
+    return sorted(_refine(chain, n, window, cap, False)[0])
 
 
 def localization_check(chain, i, g_numerator, n, cap=100000):
@@ -447,7 +460,7 @@ def dichotomy_probe(chain, n, window, cap):
     """
     if classify_regime(chain).tag != "Collapse":
         raise RegimeViolation("probe requires a collapse-regime chain")
-    counts = _refine(chain, n, window, cap)[2]
+    counts = _refine(chain, n, window, cap, False)[2]
     stable_from = next((i for i in range(1, chain.levels + 1)
                         if chain.rho[i - 1] > chain.e[i]), None)
     monotone = stable_from is None or all(

@@ -8,8 +8,8 @@ import pytest
 from thinsets.chain import (ExactCount, branching_count,
                             branching_lower_bound, build_custom_chain,
                             build_explicit_chain, classify_regime)
-from thinsets.errors import (DepthTooLarge, LevelOutOfRange,
-                             MonotonicityViolation,
+from thinsets.errors import (DepthTooLarge, ExponentTooLarge,
+                             LevelOutOfRange, MonotonicityViolation,
                              NonIntegerRadiusExponent)
 
 DESK = build_custom_chain([3, 4, 5, 6], [1, 2, 3, 4], 5)
@@ -100,6 +100,14 @@ class TestExactCount:
         c = ExactCount(2, 4, 1)
         assert c.as_int() == 33
         assert c == 33 and c > 32 and c < 34
+
+    def test_too_large_to_expand(self):
+        # a ThinsetError that exits 2, not a bare OverflowError
+        with pytest.raises(ExponentTooLarge) as ex:
+            ExactCount(1, 10 ** 9, 0).as_int()
+        assert ex.value.exit_code == 2
+        assert str(ex.value) == "count 2**1000000000 too large to expand"
+        assert ExactCount(0, 10 ** 9, 5).as_int() == 5
 
     def test_symbolic_comparison(self):
         big = ExactCount(2, 10 ** 9, -1)

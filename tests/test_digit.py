@@ -1,10 +1,12 @@
 """Digit Cantor sets: separation, membership, sumsets, gauge decay."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from thinsets.digit import (DigitSpec, beyond_table_bound_exponent,
+from thinsets.digit import (DigitSpec, _tail_exact,
+                            beyond_table_bound_exponent,
                             dimension_zero_diagnostic, member_K,
                             separation_check, subset_sums, tau_bound,
                             verify_triple_sumset)
@@ -86,6 +88,32 @@ class TestSeparation:
         assert not rep["ok"]
         # a_1 = 1/2 exactly equals tail + beyond-table bound
         assert not rep["rows"][0]["holds"]
+
+    def test_running_tail_matches_per_row_sum(self):
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(60):
+            # random gaps, then gaps of 1 from index ones_from on, so that
+            # a_n equals its tail plus the bound on some rows
+            size = rng.randrange(3, 14)
+            ones_from = rng.randrange(1, size + 1)
+            g = [rng.randrange(1, 4)]
+            for k in range(1, size):
+                g.append(g[-1] + (1 if k >= ones_from
+                                  else rng.choice((1, 2, 3, 40))))
+            step = rng.choice((1, 2, 3))
+            spec = DigitSpec(g=tuple(g), N_max=len(g),
+                             growth=f"g(n+1)>=g(n)+{step}")
+            N = rng.randrange(1, len(g) + 1)
+            bound = SparseDyadic.power(beyond_table_bound_exponent(spec))
+            want = [{"n": n, "holds": spec.a(n).compare(
+                         _tail_exact(spec, n).add(bound)) > 0}
+                    for n in range(1, N + 1)]
+            rep = separation_check(spec, N)
+            assert rep["rows"] == want
+            assert rep["ok"] == all(r["holds"] for r in want)
+            seen.update(r["holds"] for r in want)
+        assert seen == {False, True}
 
     def test_growth_required(self):
         spec = DigitSpec(g=(2, 4, 8), N_max=3)

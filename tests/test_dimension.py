@@ -292,3 +292,64 @@ class TestReport:
         rep = dimension_report(DESK, [Fraction(1)], [])
         assert rep["rows"] == []
         assert report_to_csv(rep) == ""
+
+
+def greedy_counts(chain, n, cap=200000):
+    """covering_number and packing_number of the clipped level-n survivor
+    intervals at delta = 4 r_n.  The intervals are those of clipped(),
+    scaled to integers in units of 2**-rho_n: the reference chain's
+    131089 Fractions would take seconds."""
+    e, rho = chain.e[n - 1], chain.rho[n - 1]
+    d = max(rho - 2, 2)
+    u = max(rho, d)
+    r, top = 1 << (u - rho), 1 << u
+    ivs = [(max(0, c - r), min(top, c + r))
+           for c in (m << (u - e)
+                     for m in survivor_numerators(chain, n, FULL, cap))]
+    return covering_number(ivs, d - u), packing_number(ivs, d - u)
+
+
+def certified(chain, n):
+    return chain.rho[n - 1] >= chain.e[n - 1] + 4
+
+
+class TestSeparationCertificate:
+    def check_rows(self, chain, levels):
+        rows = dimension_report(chain, [Fraction(1)], levels)["rows"]
+        for row in rows:
+            n = row["n"]
+            assert (row["covering"], row["packing"]) == \
+                greedy_counts(chain, n)
+            if certified(chain, n):
+                assert row["covering"] == row["packing"] == \
+                    len(survivor_numerators(chain, n, FULL, 200000))
+        return [certified(chain, row["n"]) for row in rows]
+
+    def test_desk_chain(self):
+        assert self.check_rows(DESK, [1, 2, 3]) == [False, False, True]
+
+    def test_reference_chain(self):
+        ref = build_custom_chain([4, 5, 6, 7], [1, 2, 3, 4], 5)
+        assert self.check_rows(ref, [1, 2, 3]) == [False, True, True]
+
+    def test_random_chains(self):
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(12):
+            m1 = rng.randrange(2, 4)
+            p1 = rng.randrange(1, 3)
+            chain = build_custom_chain(
+                [m1, m1 + rng.randrange(1, 3), m1 + 3],
+                [p1, p1 + rng.randrange(1, 3), p1 + 3], 4)
+            seen.update(self.check_rows(chain, [1, 2, 3]))
+        assert seen == {False, True}
+
+    def test_weakened_premise_is_caught(self):
+        # desk level 1: rho_1 = e_1 = 1, three survivors whose
+        # neighbourhoods overlap, so covering and packing both differ
+        # from the survivor count; a certificate at rho_n >= e_n would
+        # report 3 for both
+        row = dimension_report(DESK, [Fraction(1)], [1])["rows"][0]
+        assert DESK.rho[0] == DESK.e[0]
+        assert len(survivor_numerators(DESK, 1, FULL, 1000)) == 3
+        assert (row["covering"], row["packing"]) == (4, 2)

@@ -145,6 +145,18 @@ class TestTripleSum:
                                        SparseDyadic.power(3)))
         assert bad.check_invariants(DESK) is not None
 
+    def test_index_past_chain_depth(self):
+        # the desk chain has depth 5, so e_9 does not exist
+        from thinsets.falconer import TripleSumFamily
+        fam = TripleSumFamily((2, 9), (SparseDyadic.power(3),
+                                       SparseDyadic.power(400)))
+        why = fam.check_invariants(DESK)
+        assert why == "index 9 exceeds the chain depth 5"
+        rep = verify_triple_sum(DESK, fam, 2, 4)
+        assert rep["invariant_violation"] == why
+        assert rep["all_pass"]
+        assert len(rep["triples"]) == 8
+
 
 class TestBinaryTree:
     def test_basic_word(self):
@@ -290,3 +302,62 @@ class TestRandomizedChains:
                 got = [Fraction(m, 1 << chain.e[n - 1])
                        for m in survivor_numerators(chain, n, FULL, 100000)]
                 assert got == brute_window_centers(chain, n, FULL)
+
+
+class TestPieceFreeLastLevel:
+    """survivor_numerators and dichotomy_probe skip the level-n pieces;
+    the pieces-building _refine is their oracle."""
+
+    @staticmethod
+    def random_window(rng):
+        if rng.random() < 0.3:
+            return FULL
+        q = rng.randrange(1, 25)
+        lo = rng.randrange(0, q)
+        return Fraction(lo, q), Fraction(rng.randrange(lo + 1, q + 1), q)
+
+    def test_matches_pieces_on_random_chains(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            m1 = rng.randrange(2, 4)
+            p1 = rng.randrange(1, 3)
+            chain = build_custom_chain(
+                [m1, m1 + rng.randrange(1, 3), m1 + 3],
+                [p1, p1 + rng.randrange(1, 3), p1 + 3], 4)
+            n = rng.randrange(1, 4)
+            window = self.random_window(rng)
+            nodes, _, counts = falconer._refine(chain, n, window, 200000)
+            assert survivor_numerators(chain, n, window, 200000) == \
+                sorted(nodes)
+            assert falconer._refine(chain, n, window, 200000, False)[2] == \
+                counts
+
+    def test_dichotomy_counts_on_random_collapse_chains(self):
+        from thinsets.chain import classify_regime
+        rng = random.Random(7)
+        probed = 0
+        for _ in range(30):
+            m1 = rng.randrange(2, 5)
+            p1 = m1 + rng.randrange(0, 3)
+            chain = build_custom_chain(
+                [m1, m1 + 1, m1 + 2], [p1, p1 + 1, p1 + 2], 4)
+            if classify_regime(chain).tag != "Collapse":
+                continue
+            window = self.random_window(rng)
+            for n in (1, 2, 3):
+                assert dichotomy_probe(chain, n, window, 10000)["counts"] \
+                    == falconer._refine(chain, n, window, 10000)[2]
+            probed += 1
+        assert probed >= 10
+
+    @pytest.mark.parametrize("n, cap", [(2, 5), (3, 100), (3, 1000),
+                                        (4, 100000)])
+    def test_cap_exceeded_alike(self, n, cap):
+        # (2, 5) and (3, 1000) trip the cap at the last level, (3, 100)
+        # and (4, 100000) the work budget
+        with pytest.raises(CapExceeded) as built:
+            falconer._refine(DESK, n, FULL, cap)
+        with pytest.raises(CapExceeded) as free:
+            survivor_numerators(DESK, n, FULL, cap)
+        assert free.value.level == built.value.level == n
+        assert str(free.value) == str(built.value)
